@@ -231,64 +231,6 @@ def _monitor_results(shape: tuple[int, int, int]) -> list[BenchResult]:
     ]
 
 
-def _scheduler_results(shape: tuple[int, int, int]) -> list[BenchResult]:
-    """The cross-scheduler equivalence gate.
-
-    Runs the dimension-ordered all-reduce and the incast under both the
-    heap and the time-wheel scheduler and reports the *simulated-time*
-    difference plus the executed-event-count difference.  Like the
-    monitor gate, the baseline values are 0.0 and a zero baseline
-    treats any nonzero current value as an infinite regression — so a
-    scheduler that perturbs results by one nanosecond or dispatches a
-    different number of events fails ``python -m repro bench
-    --compare``.  Wall-clock speed is deliberately *not* gated here
-    (host noise); the pytest benchmark ``benchmarks/bench_scheduler.py``
-    measures it.
-    """
-    from repro.engine.scheduler import use_scheduler
-    from repro.runner.result import run_experiment
-    from repro.runner.spec import ExperimentSpec
-
-    def both(spec):
-        out = []
-        for name in ("heap", "wheel"):
-            with use_scheduler(name):
-                out.append(run_experiment(spec))
-        return out
-
-    results = []
-    for tag, spec in (
-        ("allreduce", ExperimentSpec(
-            "allreduce", shape=shape, payload=32,
-            extras=(("algorithm", "dimension_ordered"),),
-        )),
-        ("incast", ExperimentSpec(
-            "congestion", shape=shape, payload=256, rounds=2,
-        )),
-    ):
-        heap, wheel = both(spec)
-        cfg = _shape_config(shape, experiment=spec.experiment)
-        results.append(BenchResult(
-            benchmark="scheduler",
-            metric=f"{tag}_sim_time_delta_ns",
-            value=abs(heap.elapsed_ns - wheel.elapsed_ns),
-            units="ns",
-            better="lower",
-            config=cfg,
-        ))
-        results.append(BenchResult(
-            benchmark="scheduler",
-            metric=f"{tag}_event_count_delta",
-            value=float(abs(
-                heap.meta["events_executed"] - wheel.meta["events_executed"]
-            )),
-            units="count",
-            better="lower",
-            config=cfg,
-        ))
-    return results
-
-
 def run_suite(
     shape: tuple[int, int, int] = DEFAULT_SHAPE,
     only: Optional[set[str]] = None,
@@ -298,9 +240,8 @@ def run_suite(
 
     ``only`` restricts to a subset of benchmark names (``latency``,
     ``allreduce``, ``transfer``, ``migration``, ``bandwidth``,
-    ``monitor``, ``scheduler``).  ``jobs`` parallelizes the independent-run
-    benchmarks across worker processes; results are bit-identical to
-    ``jobs=1``.
+    ``monitor``).  ``jobs`` parallelizes the independent-run benchmarks
+    across worker processes; results are bit-identical to ``jobs=1``.
     """
     results: list[BenchResult] = list(_sweep_results(shape, only, jobs))
 
@@ -313,13 +254,10 @@ def run_suite(
         results.extend(_bandwidth_results())
     if want("monitor"):
         results.extend(_monitor_results(shape))
-    if want("scheduler"):
-        results.extend(_scheduler_results(shape))
     return ResultSet(results)
 
 
 #: Benchmark names ``run_suite`` knows.
 SUITE_BENCHMARKS = (
     "latency", "allreduce", "transfer", "migration", "bandwidth", "monitor",
-    "scheduler",
 )

@@ -1,26 +1,22 @@
 """The simulator core: a deterministic event queue and clock.
 
-The simulator maintains scheduled ``(time, sequence, action)`` entries
-in a pluggable :class:`~repro.engine.scheduler.Scheduler` (the
-historical binary heap, or the bucketed time wheel tuned to this
-machine's discrete delay set — see :mod:`repro.engine.scheduler`).
-The sequence number breaks ties so that events scheduled at the same
-simulated time always execute in scheduling order, which makes every
-simulation in this package fully reproducible (a requirement for the
-trace-diffing tests and for the paper-reproduction benchmarks) — and
-is also what lets the two schedulers produce byte-identical results:
-FIFO order within a time bucket *is* sequence order.
+The simulator keeps one binary heap of ``(time, sequence, action,
+args)`` entries and calls ``heapq`` on it directly.  The sequence
+number breaks ties so that events scheduled at the same simulated time
+always execute in scheduling order, which makes every simulation in
+this package fully reproducible (a requirement for the trace-diffing
+tests and for the paper-reproduction benchmarks).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from time import perf_counter_ns
 from types import FunctionType, MethodType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.engine.event import AllOf, AnyOf, Event, Timeout
 from repro.engine.process import Coroutine, Process
-from repro.engine.scheduler import BATCH, FUSED, Scheduler, make_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
@@ -119,33 +115,15 @@ class EventHistory:
 
 
 class Simulator:
-    """Discrete-event simulator with nanosecond float time.
+    """Discrete-event simulator with nanosecond float time."""
 
-    Parameters
-    ----------
-    scheduler:
-        The event scheduler to run on: a
-        :class:`~repro.engine.scheduler.Scheduler` instance, a name
-        (``"heap"`` / ``"wheel"``), or ``None`` for the ambient default
-        (:func:`~repro.engine.scheduler.resolve_scheduler` — a
-        ``use_scheduler`` context, ``$REPRO_SCHEDULER``, or the
-        package default).  Scheduler choice never changes results —
-        the cross-scheduler property suite enforces byte-identity — it
-        only changes how fast the event loop turns.
-    """
+    #: Kept only because the host-time benchmark reads it for provenance.
+    scheduler_name = "heap"
 
-    def __init__(self, scheduler: "Scheduler | str | None" = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._sched: Scheduler = make_scheduler(scheduler)
-        #: Canonical name of the scheduler this simulator runs on —
-        #: surfaced in ``RunResult.meta`` and ledger provenance.
-        self.scheduler_name: str = self._sched.name
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq: int = 0
-        #: Unexecuted callbacks of the batch currently draining in
-        #: :meth:`run` — counted by :attr:`pending` so the health
-        #: monitor's queue-depth probe reads the same value under
-        #: batching schedulers as under the entry-per-event heap.
-        self._drain_tail: int = 0
         self._crashes: list[tuple[Process, BaseException]] = []
         #: Events executed by :meth:`run` — the engine's own telemetry.
         self.events_executed: int = 0
@@ -162,77 +140,38 @@ class Simulator:
             for hook in list(_NEW_SIM_HOOKS):
                 hook(self)
 
-    @property
-    def scheduler(self) -> Scheduler:
-        """The scheduler instance this simulator runs on."""
-        return self._sched
-
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` ns of simulated time."""
-        if delay < 0:
+        # ``not >=`` also rejects NaN, which would poison the clock.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         self._seq += 1
-        self._sched.push(self.now + delay, self._seq, fn, args)
-
-    def schedule_batch(
-        self, delay: float, pairs: Sequence[tuple[Callable[..., None], tuple]]
-    ) -> None:
-        """Schedule many callbacks for the same instant as one entry.
-
-        ``pairs`` is a sequence of ``(fn, args)`` tuples executed in
-        order at ``now + delay``.  The callbacks receive *consecutive*
-        sequence numbers, so execution order — and every observable
-        byte — is identical to calling :meth:`schedule` in a loop; a
-        batching scheduler just stores and drains them as one entry
-        (the run loop still performs per-callback bookkeeping).  This
-        is the transport layer's tool for homogeneous completion
-        storms: a multicast node visit delivers to all local clients
-        for ~1 scheduler entry instead of one per client.
-        """
-        n = len(pairs)
-        if n == 0:
-            return
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        if n == 1:
-            fn, args = pairs[0]
-            self._seq += 1
-            self._sched.push(self.now + delay, self._seq, fn, args)
-            return
-        seq0 = self._seq + 1
-        self._seq += n
-        self._sched.push_batch(self.now + delay, seq0, pairs)
+        heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
     def _schedule_event(self, delay: float, event: Event) -> None:
         """Internal: arrange for ``event``'s callbacks to fire after ``delay``."""
         self._seq += 1
-        self._sched.push(self.now + delay, self._seq, self._fire, (event,))
+        heappush(self._queue, (self.now + delay, self._seq, self._fire, (event,)))
 
     def _dispatch(self, event: Event) -> None:
         """Internal: an event was triggered now; run its callbacks now.
 
         Callbacks run through the queue (at the current time) so that
-        the triggering code finishes before any waiter resumes.  A
-        multi-waiter fan-out (an ``AllOf`` barrier releasing, a counter
-        threshold waking every poller) is pushed as one batch entry:
-        the callbacks hold consecutive sequence numbers either way, so
-        ordering is unchanged.
+        the triggering code finishes before any waiter resumes.  Each
+        callback gets its own entry and sequence number, so waiters
+        wake in registration order.
         """
         callbacks = event.callbacks
         event.callbacks = None
         if not callbacks:
             return
-        if len(callbacks) == 1:
-            self._seq += 1
-            self._sched.push(self.now, self._seq, callbacks[0], (event,))
-            return
+        queue = self._queue
+        now = self.now
         args = (event,)
-        seq0 = self._seq + 1
-        self._seq += len(callbacks)
-        self._sched.push_batch(
-            self.now, seq0, [(cb, args) for cb in callbacks]
-        )
+        for cb in callbacks:
+            self._seq += 1
+            heappush(queue, (now, self._seq, cb, args))
 
     def _fire(self, event: Event) -> None:
         """Internal: deliver a pre-triggered event (Timeout)."""
@@ -255,9 +194,7 @@ class Simulator:
         The hook is passive telemetry (an :class:`EventHistory`, a
         progress meter): it must not schedule events or mutate
         simulation state, and the disabled fast path costs one ``None``
-        test per event.  Pass ``None`` to uninstall.  Install before
-        :meth:`run`: the run loop binds observer presence at batch
-        boundaries.
+        test per event.  Pass ``None`` to uninstall.
         """
         prev = self._event_hook
         self._event_hook = hook
@@ -313,13 +250,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Scheduled callbacks currently awaiting execution.
-
-        Counts logically — every member of a batched entry, plus the
-        unexecuted tail of a batch mid-drain — so the value is
-        identical whichever scheduler is installed.
-        """
-        return self._sched.size + self._drain_tail
+        """Scheduled callbacks currently awaiting execution."""
+        return len(self._queue)
 
     # -- waitable factories ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -369,13 +301,13 @@ class Simulator:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self.now:
+            # ``not >=`` also rejects NaN, which would poison the clock.
+            if not stop_time >= self.now:
                 raise ValueError(
                     f"until={stop_time} is in the past (now={self.now})"
                 )
 
-        sched = self._sched
-        pop = sched.pop
+        queue = self._queue
         # The profiler is bound once per run() call: attach-before-run
         # is guaranteed by the construction hooks, and a local keeps
         # the per-event cost of the common disabled case at one test.
@@ -392,132 +324,11 @@ class Simulator:
             loop_t0 = pc()
             t_prev = loop_t0
         try:
-            while sched.size:
-                if stop_time is not None and sched.peek_time() > stop_time:
+            while queue:
+                if stop_time is not None and queue[0][0] > stop_time:
                     self.now = stop_time
                     break
-                when, seq, fn, args = pop()
-                if fn is BATCH or fn is FUSED:
-                    # A fused entry: callbacks sharing this instant
-                    # under consecutive (BATCH) or in-order (FUSED)
-                    # seqs.  Per-callback semantics (event count,
-                    # hooks, stop/crash checks) are preserved; with no
-                    # observer and no stop event installed the drain
-                    # runs a tight loop — the engine's fast path.
-                    self.now = when
-                    fast = (stop_event is None and profiler is None
-                            and self._event_hook is None
-                            and self._monitor_hook is None)
-                    if fn is FUSED:
-                        # A window into the live bucket list; draining
-                        # in place keeps the hot loop allocation-free.
-                        entries, j, end = args
-                        if fast:
-                            crashes = self._crashes
-                            j0 = j
-                            try:
-                                while j < end:
-                                    e = entries[j]
-                                    j += 1
-                                    e[2](*e[3])
-                                    if crashes:
-                                        self._raise_crash()
-                            except BaseException:
-                                # Anything escaping mid-drain must not
-                                # drop the unexecuted tail: put it
-                                # back, exactly as the entry-per-event
-                                # heap would have kept it.
-                                if j < end:
-                                    sched.requeue(
-                                        when, seq,
-                                        [(x[2], x[3])
-                                         for x in entries[j:end]])
-                                raise
-                            finally:
-                                self.events_executed += j - j0
-                            continue
-                        pairs = [(x[2], x[3]) for x in entries[j:end]]
-                        n = end - j
-                    else:
-                        pairs = args
-                        n = len(pairs)
-                        if fast:
-                            crashes = self._crashes
-                            i = 0
-                            try:
-                                while i < n:
-                                    f, a = pairs[i]
-                                    i += 1
-                                    f(*a)
-                                    if crashes:
-                                        self._raise_crash()
-                            except BaseException:
-                                if i < n:
-                                    sched.requeue(when, seq + i, pairs[i:])
-                                raise
-                            finally:
-                                self.events_executed += i
-                            continue
-                    i = 0
-                    self._drain_tail = n
-                    try:
-                        while i < n:
-                            f, a = pairs[i]
-                            i += 1
-                            self._drain_tail = n - i
-                            self.events_executed += 1
-                            if self._event_hook is not None:
-                                self._event_hook(when, f)
-                            if (self._monitor_hook is not None
-                                    and when >= self._monitor_due):
-                                self._monitor_due = self._monitor_hook(when)
-                            if profiler is None:
-                                f(*a)
-                            else:
-                                # Same inline key derivation and
-                                # chained timing as the single-entry
-                                # path below: one clock read per
-                                # callback keeps the accounting
-                                # exact-tiling under batching.
-                                fcls = f.__class__
-                                if fcls is MethodType:
-                                    obj = f.__self__
-                                    ocls = obj.__class__
-                                    if ocls is Process:
-                                        key = obj.generator.gi_code
-                                    elif ocls is Simulator:
-                                        key = None
-                                    else:
-                                        key = f.__func__.__code__
-                                elif fcls is FunctionType:
-                                    key = f.__code__
-                                else:
-                                    key = None
-                                rec = cache_get(key) if key is not None else None
-                                if rec is None:
-                                    rec = rec_slow(f, a, key)
-                                f(*a)
-                                t_now = pc()
-                                rec[0] += 1
-                                rec[1] += t_now - t_prev
-                                t_prev = t_now
-                            if stop_event is not None and stop_event.triggered:
-                                if stop_event.ok:
-                                    if i < n:
-                                        sched.requeue(when, seq + i, pairs[i:])
-                                    return stop_event.value
-                                # failed awaited event: the except
-                                # clause below requeues the tail
-                                raise stop_event._value  # type: ignore[misc]
-                            if self._crashes:
-                                self._raise_crash()
-                    except BaseException:
-                        if i < n:
-                            sched.requeue(when, seq + i, pairs[i:])
-                        raise
-                    finally:
-                        self._drain_tail = 0
-                    continue
+                when, _, fn, args = heappop(queue)
                 self.now = when
                 self.events_executed += 1
                 if self._event_hook is not None:
@@ -532,8 +343,8 @@ class Simulator:
                     # everything else takes the cold path.  Timing is
                     # chained — one clock read per event — so an
                     # event's wall is dispatch-inclusive: it covers the
-                    # scheduler pop, hook dispatch, and this
-                    # bookkeeping that delivered it, not just its body.
+                    # heap pop, hook dispatch, and this bookkeeping
+                    # that delivered it, not just its body.
                     fcls = fn.__class__
                     if fcls is MethodType:
                         obj = fn.__self__

@@ -447,26 +447,18 @@ class _McastTransit:
                 return
         entry = self.pattern.entries[node]
         packet = self.packet
-        # All local deliveries of one node visit land on the same tick
-        # (DST_RING_NS past the ring, or immediately at the source), so
-        # they go out as one batched entry — a visit costs ~1 scheduler
-        # entry instead of one per client.  Client order, and for
-        # in-order packets the gate-creation order, is unchanged.
+        # Local deliveries go out in client order; for in-order packets
+        # each one takes its gate in that same order.
         delay = DST_RING_NS if node != packet.src_node else 0.0
+        schedule = net.sim.schedule
         if packet.in_order:
-            pairs = []
             for client_name in entry.local_clients:
                 order_prev, order_mine = net._inorder_gate(packet, node)
-                pairs.append((
-                    self._deliver_local,
-                    (node, client_name, order_prev, order_mine),
-                ))
+                schedule(delay, self._deliver_local,
+                         node, client_name, order_prev, order_mine)
         else:
-            pairs = [
-                (self._finish_local, (node, client_name, None))
-                for client_name in entry.local_clients
-            ]
-        net.sim.schedule_batch(delay, pairs)
+            for client_name in entry.local_clients:
+                schedule(delay, self._finish_local, node, client_name, None)
         for dim, sign in entry.forward:
             self._forward(node, dim, sign, first_link)
 

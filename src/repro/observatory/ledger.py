@@ -153,10 +153,9 @@ def build_provenance(
 ) -> dict:
     """One record's provenance block: code identity (fingerprint, git
     rev), host identity, and — from a run's ``meta`` when available —
-    wall seconds, events/second, the engine scheduler that produced
-    the run, and peak RSS **in bytes** (normalized at the source by
-    :func:`repro.profile.telemetry.peak_rss_bytes`, so records are
-    comparable across Linux and macOS hosts)."""
+    wall seconds, events/second, and peak RSS **in bytes** (normalized
+    at the source by :func:`repro.profile.telemetry.peak_rss_bytes`,
+    so records are comparable across Linux and macOS hosts)."""
     doc = host_facts()
     doc["source_fingerprint"] = source_fingerprint()
     rev = git_revision()
@@ -164,9 +163,7 @@ def build_provenance(
         doc["git_rev"] = rev
     if spec is not None:
         doc["spec_hash"] = spec.spec_hash
-    for key in (
-        "wall_time_s", "events_per_second", "peak_rss_bytes", "scheduler"
-    ):
+    for key in ("wall_time_s", "events_per_second", "peak_rss_bytes"):
         if meta and key in meta:
             doc[key] = meta[key]
     return doc

@@ -246,7 +246,7 @@ def run_experiment(
     equivalent ``Captures`` (passing both forms is an error).
 
     Every run also gets wall-clock execution facts on ``result.meta``
-    (events/sec, peak RSS, wall seconds, the scheduler that ran it) —
+    (events/sec, peak RSS, wall seconds) —
     observed from outside the simulation, never serialized with it.
     """
     import warnings
@@ -319,7 +319,6 @@ def run_experiment(
             f"experiment {spec.experiment!r} returned {type(outcome)}, "
             "expected Outcome"
         )
-    from repro.engine.scheduler import resolve_scheduler
     from repro.profile.telemetry import peak_rss_bytes
 
     events_executed = sum(sim.events_executed for sim in sims)
@@ -329,14 +328,6 @@ def run_experiment(
         "events_executed": events_executed,
         "events_per_second": events_executed / wall_s if wall_s > 0 else 0.0,
         "peak_rss_bytes": peak_rss_bytes(),
-        # Engine provenance: which scheduler produced this run.  The
-        # schedulers are proven byte-equivalent, so this rides in meta
-        # (outside the cacheable core and the cache key) — recorded so
-        # ledger entries and sweep telemetry can attribute wall-clock
-        # deltas to the engine configuration that produced them.
-        "scheduler": (
-            sims[0].scheduler_name if sims else resolve_scheduler()
-        ),
     }
     return RunResult(
         spec=spec,

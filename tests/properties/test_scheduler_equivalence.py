@@ -1,186 +1,144 @@
-"""Property tests for cross-scheduler byte-identity.
+"""Property tests for the event queue's dispatch order.
 
-The contract behind ``Simulator(scheduler=...)``: the bucketed time
-wheel is an *optimization*, never a semantic change.  Every observable
-byte of a run — serialized :class:`RunResult` documents, persisted
-sweep checkpoints, exported flight traces, rendered health verdicts —
-must be identical whether the heap or the time wheel dispatched the
-events, including runs with faults injected and captures attached.
-Mirrors ``test_fault_equivalence.py``: simulated times compare with
-``==``, persisted artifacts compare as raw bytes.
+The contract: events run in ``(time, schedule index)`` order, where the
+schedule index counts every :meth:`Simulator.schedule` call and every
+waiter woken by a triggered event, in the order they happened.  The
+oracle below computes that order with a linear scan over a plain list,
+so it shares no code with the engine's heap.
 """
-
-import json
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asic import build_machine
-from repro.engine import Simulator, use_scheduler
-from repro.runner.result import Captures, run_experiment
-from repro.runner.spec import ExperimentSpec
-from repro.runner.sweep import expand_grid, run_sweep
-from tests.conftest import run_exchange
+from repro.asic.sync_counter import SyncCounter
+from repro.engine import Simulator
 
-GRID = expand_grid(
-    "latency",
-    {"shape": [(2, 2, 2), (3, 3, 3)], "hops": [0, 1]},
+#: Delays drawn mostly from a small discrete set, like the machine
+#: model's, so that many entries share an instant.
+DELAYS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 4.0, 8.0, 10.0]),
+    st.floats(0.0, 64.0),
 )
-
-SCHEDULERS = ("heap", "wheel")
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+FOLLOW_UPS = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5]), max_size=3)
+ROOTS = st.lists(st.tuples(DELAYS, FOLLOW_UPS), min_size=1, max_size=40)
 
 
-def _canon(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+def oracle(roots):
+    """``(time, label)`` in dispatch order, computed without the engine.
+
+    Each root ``(delay, follow_ups)`` is scheduled up front; when it
+    runs it schedules one follow-up per delay in ``follow_ups``.
+    """
+    pending = []
+    index = 0
+    for label, (delay, follow) in enumerate(roots):
+        pending.append((delay, index, (label,), follow))
+        index += 1
+    order = []
+    while pending:
+        entry = min(pending, key=lambda e: (e[0], e[1]))
+        pending.remove(entry)
+        when, _, label, follow = entry
+        order.append((when, label))
+        for k, delay in enumerate(follow):
+            pending.append((when + delay, index, label + (k,), ()))
+            index += 1
+    return order
 
 
-def _under_each(fn):
-    """Evaluate ``fn`` under both schedulers; return the two outputs."""
-    out = []
-    for name in SCHEDULERS:
-        with use_scheduler(name):
-            out.append(fn())
-    return out
+def run_roots(roots, until=None):
+    sim = Simulator()
+    seen = []
+
+    def fire(label, follow):
+        seen.append((sim.now, label))
+        for k, delay in enumerate(follow):
+            sim.schedule(delay, fire, label + (k,), ())
+
+    for label, (delay, follow) in enumerate(roots):
+        sim.schedule(delay, fire, (label,), follow)
+    sim.run(until=until)
+    return sim, seen
 
 
 class TestEngineOrderEquivalence:
-    """The root property, straight on the engine: any mix of single
-    and batched schedules dispatches in the exact same order."""
+    @given(ROOTS)
+    @settings(max_examples=150, deadline=None)
+    def test_dispatch_order_identical(self, roots):
+        sim, seen = run_roots(roots)
+        assert seen == oracle(roots)
+        assert sim.events_executed == len(seen)
+        assert sim.pending == 0
+
+    @given(ROOTS)
+    @settings(max_examples=100, deadline=None)
+    def test_same_instant_follow_ups_run_after_pending(self, roots):
+        _, seen = run_roots(roots)
+        position = {label: i for i, (_, label) in enumerate(seen)}
+        for i, (when, label) in enumerate(seen):
+            if len(label) == 1 or roots[label[0]][1][label[1]] != 0.0:
+                continue
+            # A zero-delay follow-up runs after every root already
+            # pending at its instant.
+            for root, (delay, _) in enumerate(roots):
+                if delay == when:
+                    assert position[(root,)] < i
 
     @given(
-        st.lists(
-            st.tuples(st.floats(0.0, 64.0), st.integers(0, 9)),
-            min_size=1, max_size=50,
-        ),
-        st.integers(0, 7),
+        kind=st.sampled_from(["event", "all_of", "counter"]),
+        order=st.permutations(range(6)),
+        before=st.integers(0, 3),
+        after=st.integers(0, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_dispatch_order_identical(self, entries, batch_every):
-        def run():
-            sim = Simulator()
-            seen = []
-            for i, (delay, tag) in enumerate(entries):
-                if batch_every and i % (batch_every + 1) == batch_every:
-                    sim.schedule_batch(
-                        delay,
-                        [(seen.append, ((delay, tag, k),)) for k in range(3)],
-                    )
-                else:
-                    sim.schedule(delay, seen.append, (delay, tag))
-            sim.run()
-            return seen, sim.now, sim.events_executed
-
-        heap, wheel = _under_each(run)
-        assert heap == wheel
-
-
-class TestRunResultBytes:
-    @given(
-        hops=st.integers(0, 3),
-        payload=st.sampled_from([0, 32, 256]),
-        seed=st.integers(0, 3),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_latency_bytes_identical(self, hops, payload, seed):
-        spec = ExperimentSpec(
-            "latency", shape=(3, 3, 3), hops=hops, payload=payload, seed=seed
-        )
-        heap, wheel = _under_each(lambda: _canon(run_experiment(spec)))
-        assert heap == wheel
-
-    @given(algorithm=st.sampled_from(["dimension_ordered", "butterfly"]))
-    @settings(max_examples=4, deadline=None)
-    def test_allreduce_bytes_identical(self, algorithm):
-        spec = ExperimentSpec(
-            "allreduce", shape=(4, 4, 4), payload=32,
-            extras=(("algorithm", algorithm),),
-        )
-        heap, wheel = _under_each(lambda: _canon(run_experiment(spec)))
-        assert heap == wheel
-
-    def test_incast_with_captures_bytes_identical(self):
-        """The 26-to-1 incast with flight + congestion X-ray attached —
-        captures on, exactly as the congest CLI runs it."""
-        spec = ExperimentSpec(
-            "congestion", shape=(3, 3, 3), payload=256, rounds=2,
-            extras=(("senders", 26),),
-        )
-        caps = Captures(flight=True, congestion=True)
-        heap, wheel = _under_each(lambda: _canon(run_experiment(spec, caps)))
-        assert heap == wheel
-
-    @given(ber=st.sampled_from([1e-6, 1e-4]))
-    @settings(max_examples=4, deadline=None)
-    def test_fault_plan_bytes_identical(self, ber):
-        """Fault injection (the stochastic subsystem) under both
-        schedulers: the derived-seed RNG must see the same event
-        stream, so even corrupted runs serialize identically."""
-        spec = ExperimentSpec(
-            "fault_sensitivity", shape=(3, 3, 3), rounds=2,
-            extras=(("ber", ber),),
-        )
-        heap, wheel = _under_each(lambda: _canon(run_experiment(spec)))
-        assert heap == wheel
-
-
-class TestSweepCheckpointBytes:
-    def test_sweep_results_and_points_byte_identical(self, tmp_path):
-        dirs = {name: str(tmp_path / name) for name in SCHEDULERS}
-        reports = {}
-        for name in SCHEDULERS:
-            with use_scheduler(name):
-                reports[name] = run_sweep(GRID, out_dir=dirs[name])
-        assert all(r.ok for r in reports.values())
-        heap_dir, wheel_dir = dirs["heap"], dirs["wheel"]
-        assert _read(os.path.join(heap_dir, "results.json")) == \
-            _read(os.path.join(wheel_dir, "results.json"))
-        for fname in sorted(os.listdir(os.path.join(heap_dir, "points"))):
-            assert _read(os.path.join(heap_dir, "points", fname)) == \
-                _read(os.path.join(wheel_dir, "points", fname))
-
-
-class TestExportedTraceBytes:
-    def _trace_bytes(self, tmp_path, tag):
-        from repro.trace.export import write_chrome_trace, write_jsonl
-        from repro.trace.flight import FlightRecorder, use_flight
-
+    def test_fan_out_wakes_waiters_in_registration_order(
+        self, kind, order, before, after
+    ):
         sim = Simulator()
-        fl = FlightRecorder()
-        with use_flight(fl):
-            m = build_machine(sim, 2, 2, 2)
-        run_exchange(sim, m.node((0, 0, 0)).slice(0),
-                     m.node((1, 1, 0)).slice(0), payload_bytes=256)
-        jsonl = str(tmp_path / f"{tag}.jsonl")
-        chrome = str(tmp_path / f"{tag}.json")
-        write_jsonl(jsonl, fl)
-        write_chrome_trace(chrome, fl)
-        return _read(jsonl), _read(chrome)
+        log = []
+        if kind == "counter":
+            counter = SyncCounter(sim)
+            waitable = lambda: counter.wait_for(2)  # noqa: E731
+            trigger = lambda: counter.increment(2)  # noqa: E731
+        else:
+            early, late = sim.event(), sim.event()
+            early.succeed()
+            if kind == "all_of":
+                waitable = lambda: sim.all_of([early, late])  # noqa: E731
+            else:
+                waitable = lambda: late  # noqa: E731
+            trigger = late.succeed
 
-    def test_jsonl_and_chrome_bytes_identical(self, tmp_path):
-        heap, wheel = _under_each(
-            lambda: self._trace_bytes(tmp_path, "run")
+        def waiter(tag):
+            yield waitable()
+            log.append(("waiter", tag))
+
+        for tag in order:
+            sim.process(waiter(tag))
+        for i in range(before):
+            sim.schedule(5.0, log.append, ("before", i))
+        sim.schedule(5.0, trigger)
+        for i in range(after):
+            sim.schedule(5.0, log.append, ("after", i))
+        sim.run()
+        assert log == (
+            [("before", i) for i in range(before)]
+            + [("after", i) for i in range(after)]
+            + [("waiter", tag) for tag in order]
         )
-        assert heap == wheel
+        assert sim.now == 5.0
 
-
-class TestMonitorVerdicts:
-    def _verdict_text(self):
-        from repro.monitor.health import use_monitoring
-
-        sim = Simulator()
-        with use_monitoring() as mon:
-            m = build_machine(sim, 2, 2, 2)
-        run_exchange(sim, m.node((0, 0, 0)).slice(0),
-                     m.node((1, 1, 0)).slice(0))
-        [verdict] = mon.finalize()
-        return verdict.render_text()
-
-    def test_verdicts_render_identically(self):
-        heap, wheel = _under_each(self._verdict_text)
-        assert heap == wheel
+    @given(ROOTS, st.sampled_from([0.0, 1.0, 2.0, 4.0, 9.5, 30.0, 100.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_run_until_stops_at_time_and_keeps_later_events(self, roots, t):
+        sim, seen = run_roots(roots, until=t)
+        full = oracle(roots)
+        assert seen == [e for e in full if e[0] <= t]
+        assert sim.now == t
+        # Still queued: later roots, and later follow-ups whose root ran.
+        assert sim.pending == sum(
+            1 for when, label in full
+            if when > t and (len(label) == 1 or roots[label[0]][0] <= t)
+        )
+        sim.run()
+        assert seen == full

@@ -80,3 +80,63 @@ def test_determinism_across_runs():
         return seen
 
     assert build_and_run() == build_and_run()
+
+
+def test_nan_times_rejected(sim):
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(ValueError):
+        sim.timeout(nan)
+    with pytest.raises(ValueError):
+        sim.run(until=nan)
+    assert sim.now == 0.0
+    assert sim.pending == 0
+
+
+def test_crash_in_fan_out_leaves_remaining_waiters_pending(sim):
+    ev = sim.event()
+    woke = []
+
+    def waiter(tag):
+        yield ev
+        if tag == 1:
+            raise KeyError("boom")
+        woke.append(tag)
+
+    for tag in range(4):
+        sim.process(waiter(tag), name=f"w{tag}")
+    sim.schedule(1.0, ev.succeed)
+    with pytest.raises(RuntimeError, match="'w1'") as info:
+        sim.run()
+    assert isinstance(info.value.__cause__, KeyError)
+    assert woke == [0]
+    assert sim.pending == 2
+    sim.run()
+    assert woke == [0, 2, 3]
+    assert sim.now == 1.0
+
+
+def test_pending_is_exact_through_a_fan_out(sim):
+    ev = sim.event()
+
+    def waiter():
+        yield ev
+
+    for _ in range(3):
+        sim.process(waiter())
+    sim.schedule(1.0, ev.succeed)
+    sim.schedule(2.0, lambda: None)
+    assert sim.pending == 5
+    observed = []
+
+    def hook(now):
+        observed.append(sim.pending)
+        return now  # due again at the next event
+
+    sim.set_monitor_hook(hook)
+    sim.run()
+    # Three process starts, the trigger (which then queues one wake-up
+    # per waiter), the three wake-ups, and the last event.
+    assert observed == [4, 3, 2, 1, 3, 2, 1, 0]
+    assert sim.pending == 0

@@ -54,13 +54,6 @@ class TestCaptures:
         with pytest.raises(AttributeError):
             Captures().flight = True
 
-    def test_meta_records_scheduler(self):
-        from repro.engine import use_scheduler
-
-        for name in ("heap", "wheel"):
-            with use_scheduler(name):
-                assert run_experiment(SPEC).meta["scheduler"] == name
-
 
 class TestLegacyShims:
     def test_legacy_kwargs_warn_and_behave_identically(self):
