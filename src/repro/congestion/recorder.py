@@ -27,10 +27,12 @@ any direction.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.monitor.series import RingSeries
+from repro.trace.flight import sample_grants
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.link import TorusLink
@@ -57,7 +59,10 @@ class NullCongestionRecorder:
     def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
         pass
 
-    def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
+    def hop_granted(
+        self, packet: "Packet", link: "TorusLink", start: float,
+        hold: float = 0.0,
+    ) -> None:
         pass
 
 
@@ -75,7 +80,7 @@ class _LinkStats:
 
     __slots__ = (
         "name", "direction", "depth", "occupancy",
-        "wait_ns", "waits", "grants", "peak_depth", "occupied_ns",
+        "wait_ns", "waits", "grants", "peak_depth", "occupied_ns", "due",
     )
 
     def __init__(self, name: str, direction: str) -> None:
@@ -88,6 +93,9 @@ class _LinkStats:
         self.grants = 0
         self.peak_depth = 0
         self.occupied_ns = 0.0
+        #: Grant times of waited hops not sampled yet (see
+        #: :func:`~repro.trace.flight.sample_grants`).
+        self.due: deque[float] = deque()
 
 
 class CongestionRecorder:
@@ -129,13 +137,15 @@ class CongestionRecorder:
         st = self._stats.get(link)
         if st is None:
             st = self._make(link)
-        depth = link.channel.queue_length + 1  # including this packet
+        depth = link.queue_length + 1  # including this packet
         self._pending[(packet.packet_id, link)] = now
         series = st.depth
         if series is None:
             series = st.depth = RingSeries(
                 f"{st.name}.depth", self.series_capacity
             )
+        for t, waiting in sample_grants(st.due, now):
+            series.append(t, float(waiting))
         series.append(now, float(depth))
         if depth > st.peak_depth:
             st.peak_depth = depth
@@ -143,8 +153,11 @@ class CongestionRecorder:
         if m is not None:
             m.gauge("congestion.queue_depth").set(depth)
 
-    def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
-        """The packet acquired the channel and starts streaming."""
+    def hop_granted(
+        self, packet: "Packet", link: "TorusLink", start: float, hold: float
+    ) -> None:
+        """The packet reserved the channel: it streams for ``hold`` ns
+        from ``start`` (its grant time, possibly still in the future)."""
         st = self._stats.get(link)
         if st is None:
             st = self._make(link)
@@ -152,31 +165,43 @@ class CongestionRecorder:
         if self._pending:
             enqueue_ns = self._pending.pop((packet.packet_id, link), None)
             if enqueue_ns is not None:
-                wait = now - enqueue_ns
+                wait = start - enqueue_ns
                 st.wait_ns += wait
                 st.waits += 1
-                # The grant drains one waiter; sample the shrinking queue.
-                st.depth.append(now, float(link.channel.queue_length))
+                # The grant drains one waiter; its depth sample waits
+                # until every earlier arrival at this link is known.
+                st.due.append(start)
                 if m is not None:
                     m.histogram("congestion.hol_wait_ns").observe(wait)
                     m.counter("congestion.waits").inc()
         st.grants += 1
-        st.occupied_ns += packet.serialization_ns
+        st.occupied_ns += hold
         series = st.occupancy
         if series is None:
             series = st.occupancy = RingSeries(
                 f"{st.name}.occupancy_ns", self.series_capacity
             )
-        series.append(now, st.occupied_ns)
+        series.append(start, st.occupied_ns)
         if m is not None:
             m.counter("congestion.grants").inc()
 
     # ------------------------------------------------------------------
     # queries (name-keyed views over the per-link accumulators)
     # ------------------------------------------------------------------
+    def _sample_due_grants(self) -> None:
+        for link, st in self._stats.items():
+            for t, waiting in sample_grants(st.due, link.sim.now):
+                st.depth.append(t, float(waiting))
+
     @property
     def depth_series(self) -> dict[str, RingSeries]:
-        """Link name → queue-depth timeline (only links that queued)."""
+        """Link name → queue-depth timeline (only links that queued).
+
+        Sampled when a packet joins a link's queue and, once the
+        simulation has reached it, when a waiter is granted; at equal
+        times a grant sorts before an enqueue.
+        """
+        self._sample_due_grants()
         return {st.name: st.depth for st in self._stats.values()
                 if st.depth is not None}
 
@@ -228,6 +253,7 @@ class CongestionRecorder:
 
     def total_dropped(self) -> int:
         """Ring-buffer samples overwritten across every timeline."""
+        self._sample_due_grants()
         return sum(
             s.dropped
             for st in self._stats.values()

@@ -1,8 +1,9 @@
 """FCFS resources and stores.
 
-:class:`Resource` models a server with fixed capacity (a torus link
-direction, a processing-slice core, an HTIS pipeline front-end): requests
-are granted strictly in arrival order.  :class:`Store` is an unbounded
+:class:`Resource` models a server with fixed capacity (a processing-slice
+core, an HTIS pipeline front-end): requests are granted strictly in
+arrival order.  Torus links, whose hold times are known up front, use
+the event-free reservation in :mod:`repro.network.link` instead.  :class:`Store` is an unbounded
 FIFO of items with blocking ``get``, used for hardware message FIFOs and
 for handing packets between pipeline stages.
 """

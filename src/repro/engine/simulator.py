@@ -149,6 +149,21 @@ class Simulator:
         self._seq += 1
         heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``when``.
+
+        For callers that computed the time themselves (a link
+        reservation's ``start + latency``): the queue gets exactly that
+        float, not ``now + (when - now)``.
+        """
+        # ``not >=`` also rejects NaN, which would poison the clock.
+        if not when >= self.now:
+            raise ValueError(
+                f"cannot schedule into the past (when={when!r}, now={self.now})"
+            )
+        self._seq += 1
+        heappush(self._queue, (when, self._seq, fn, args))
+
     def _schedule_event(self, delay: float, event: Event) -> None:
         """Internal: arrange for ``event``'s callbacks to fire after ``delay``."""
         self._seq += 1

@@ -169,9 +169,9 @@ class FaultSession:
                  sign: int, now: float) -> TransmitOutcome:
         """Resolve one link traversal: degradation, corruption, retries.
 
-        Called by the transit's grant continuation *instead of* the
-        fault-free occupancy/latency arithmetic; never called when the
-        session is disabled.
+        Called by the transit when it reserves the link, *instead of*
+        the fault-free occupancy/latency arithmetic, with ``now`` the
+        hop's grant time; never called when the session is disabled.
         """
         plan = self.plan
         ser = packet.serialization_ns

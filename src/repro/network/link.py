@@ -3,19 +3,24 @@
 Each node connects to its six immediate neighbours via bidirectional
 links; each direction of each link is an independent 50.6 Gbit/s
 channel with 36.8 Gbit/s effective data bandwidth (§III.A).  A link
-direction is modelled as a FCFS :class:`~repro.engine.resource.Resource`
-whose occupancy per packet equals the serialization time, giving
-bandwidth contention and head-of-line queueing; head latency is charged
-separately from the calibrated segment constants (virtual cut-through;
-see DESIGN.md §5).
+direction is a capacity-1 FCFS channel held for each packet's
+serialization time, giving bandwidth contention and head-of-line
+queueing; head latency is charged separately from the calibrated
+segment constants (virtual cut-through; see DESIGN.md §5).
+
+Because the channel is capacity-1 and FCFS, and a hop's hold time is
+known when it asks for the link, a grant needs no events: it is a
+*reservation*, ``start = max(now, free_at)`` and ``free_at = start +
+hold`` (:meth:`TorusLink.reserve`).  Requests arrive in simulated-time
+order, so the reservation order is the FCFS order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.resource import Resource
 from repro.topology.torus import NodeCoord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,12 +50,29 @@ class LinkId:
 
 
 class TorusLink:
-    """One direction of one inter-node torus link."""
+    """One direction of one inter-node torus link, as a reservation.
+
+    ``free_at`` is when the packet that reserved the link last has
+    streamed its final bit.  Busy time is kept as merged intervals, the
+    way a capacity-1 ``Resource`` would: a busy period closes only when
+    a request finds the link idle (``now > free_at``), so back-to-back
+    holds sum as one interval.
+    """
 
     def __init__(self, sim: "Simulator", link_id: LinkId) -> None:
         self.sim = sim
         self.link_id = link_id
-        self.channel = Resource(sim, capacity=1, name=repr(link_id))
+        #: End of the last reservation; the link is idle from then on.
+        self.free_at = 0.0
+        #: Length of every closed busy period, summed; the open one
+        #: started at ``_busy_since`` (an empty one at 0 before traffic).
+        self.total_busy_ns = 0.0
+        self._busy_since = 0.0
+        #: Start times of reservations that had to wait, pruned lazily
+        #: once they are no longer in the future.
+        self._starts: deque[float] = deque()
+        #: Deepest head-of-line queue ever observed on this direction.
+        self.peak_queue_length = 0
         self.packets_carried = 0
         self.bytes_carried = 0
         #: Link-level retransmissions charged to this direction by the
@@ -62,36 +84,52 @@ class TorusLink:
         """The ``z+``-style direction tag of this link direction."""
         return self.link_id.direction
 
+    def reserve(self, now: float, hold: float) -> float:
+        """Book the link for ``hold`` ns from the first free instant at
+        or after ``now``; returns that grant time."""
+        free_at = self.free_at
+        if now < free_at:
+            starts = self._starts
+            while starts and starts[0] <= now:
+                starts.popleft()
+            starts.append(free_at)
+            if len(starts) > self.peak_queue_length:
+                self.peak_queue_length = len(starts)
+            self.free_at = free_at + hold
+            return free_at
+        if now > free_at:
+            self.total_busy_ns += free_at - self._busy_since
+            self._busy_since = now
+        self.free_at = now + hold
+        return now
+
     def record(self, wire_bytes: int) -> None:
         """Account one packet's traffic on this link direction."""
         self.packets_carried += 1
         self.bytes_carried += wire_bytes
 
     @property
-    def peak_queue_length(self) -> int:
-        """Deepest head-of-line queue ever observed on this direction."""
-        return self.channel.peak_queue_length
-
-    @property
     def queue_length(self) -> int:
         """Packets currently waiting for this direction (instantaneous
         depth probe for the continuous-monitoring sampler)."""
-        return self.channel.queue_length
+        now = self.sim.now
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+        return len(starts)
 
     @property
     def busy_ns(self) -> float:
-        """Cumulative time this direction has been streaming bits,
-        including any currently open busy interval.
+        """Cumulative time this direction has been streaming bits up to
+        now, including any currently open busy interval.
 
         Monotonically non-decreasing, so the sampler can snapshot it
         into a ring-buffer series and derive per-window busy fractions
         from consecutive deltas.
         """
-        busy = self.channel.total_busy_ns
-        since = self.channel._busy_since
-        if since is not None:
-            busy += self.sim.now - since
-        return busy
+        return self.total_busy_ns + (
+            min(self.sim.now, self.free_at) - self._busy_since
+        )
 
     def utilization(self, elapsed_ns: float | None = None) -> float:
         """Fraction of time the channel was streaming bits.
@@ -99,6 +137,7 @@ class TorusLink:
         Returns 0.0 for a zero-length window (``elapsed_ns == 0`` or a
         query at simulated time 0) instead of dividing by zero.
         """
-        if elapsed_ns is not None and elapsed_ns <= 0:
+        horizon = elapsed_ns if elapsed_ns is not None else self.sim.now
+        if horizon <= 0:
             return 0.0
-        return self.channel.utilization(elapsed_ns)
+        return self.busy_ns / horizon

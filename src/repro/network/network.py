@@ -8,9 +8,9 @@ Latency model (calibrated, see :mod:`repro.constants` and DESIGN.md §5):
 * destination ring traversal: ``DST_RING_NS`` (25 ns);
 * non-inline payload serialization latency charged once, at the first
   link (virtual cut-through — downstream links are pipelined);
-* every traversed link direction is *occupied* for the full
-  serialization time, which is how bandwidth contention and
-  head-of-line blocking arise.
+* every traversed link direction is *reserved* FCFS for the full
+  serialization time (``start = max(now, free_at)``), which is how
+  bandwidth contention and head-of-line blocking arise.
 
 With the sender's 36 ns injection overhead and the receiver's 42 ns
 successful counter poll (both charged by the clients), a 0-byte write
@@ -29,6 +29,11 @@ passing style (callbacks on the event queue) rather than as generator
 processes — an MD time step moves hundreds of thousands of packets and
 the per-process machinery dominated the run time of the first
 implementation.  Client-side code keeps the friendlier generator API.
+A hop is one queue entry: the transit reserves the link when it asks
+for it and schedules its continuation once, at the absolute time
+``start + latency``; there are no grant or release events.  So packets
+arriving at a link in the same instant are served in the order their
+previous hops were *requested*.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
 from repro.network.multicast import MulticastPattern
 from repro.network.packet import Packet
-from repro.topology.torus import Hop, NodeCoord, Torus3D
+from repro.topology.torus import NodeCoord, Torus3D
 from repro.trace.flight import FlightRecorder, NullFlightRecorder, active_flight
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -263,6 +268,47 @@ class Network:
         self._inorder_tail[key] = mine
         return prev, mine
 
+    def _reserve_hop(
+        self, packet: Packet, node: NodeCoord, dim: str, sign: int
+    ) -> tuple[float, float, bool]:
+        """Reserve the link leaving ``node`` for one hop of ``packet``,
+        asked for now.
+
+        Returns ``(start, extra_ns, lost)``: the grant time, the fault
+        session's extra head latency, and whether the packet was dropped
+        on this hop.  Observers see the enqueue (only if the link is
+        busy), then the grant with its real hold, then any retries.
+        """
+        link = self.link(node, dim, sign)
+        now = self.sim.now
+        fl = self.flight
+        cg = self.congestion
+        if now < link.free_at:
+            if fl.enabled:
+                fl.hop_enqueued(packet, link, now)
+            if cg.enabled:
+                cg.hop_enqueued(packet, link, now)
+        fa = self.faults
+        if fa is None:
+            out = None
+            hold = packet.serialization_ns
+        else:
+            # Judged at the grant time; the per-link RNG draws in FCFS order.
+            out = fa.transmit(packet, link, dim, sign, max(now, link.free_at))
+            hold = out.hold_ns
+        start = link.reserve(now, hold)
+        link.record(packet.wire_bytes)
+        self.link_traversals += 1
+        if fl.enabled:
+            fl.hop_granted(packet, link, start, hold)
+            if out is not None and out.retries:
+                fl.hop_fault(packet, link, out.retry_ns, out.retries)
+        if cg.enabled:
+            cg.hop_granted(packet, link, start, hold)
+        if out is None:
+            return start, 0.0, False
+        return start, out.extra_ns, out.lost
+
     def _jitter(self, packet: Packet) -> float:
         if self.reorder_jitter_ns > 0.0 and not packet.in_order:
             return self._rng.uniform(0.0, self.reorder_jitter_ns)
@@ -320,54 +366,22 @@ class _UcastTransit:
                 # (re-checked there — windows may be back to back).
                 net.sim.schedule(until - net.sim.now, self._next_hop)
                 return
-        link = net.link(self.cur, hop.dim, hop.sign)
-        if link.channel.try_acquire():
-            self._granted(link, hop)
-        else:
-            fl = net.flight
-            if fl.enabled:
-                fl.hop_enqueued(self.packet, link, net.sim.now)
-            cg = net.congestion
-            if cg.enabled:
-                cg.hop_enqueued(self.packet, link, net.sim.now)
-            req = link.channel.request()
-            req.add_callback(lambda _ev, link=link, hop=hop: self._granted(link, hop))
-
-    def _granted(self, link: TorusLink, hop: Hop) -> None:
-        net = self.net
-        packet = self.packet
-        link.record(packet.wire_bytes)
-        net.link_traversals += 1
-        fl = net.flight
-        if fl.enabled:
-            fl.hop_granted(packet, link, net.sim.now)
-        cg = net.congestion
-        if cg.enabled:
-            cg.hop_granted(packet, link, net.sim.now)
-        fa = net.faults
-        if fa is None:
-            net.sim.schedule(packet.serialization_ns, link.channel.release)
-            fault_extra = 0.0
-        else:
-            out = fa.transmit(packet, link, hop.dim, hop.sign, net.sim.now)
-            net.sim.schedule(out.hold_ns, link.channel.release)
-            if out.retries and fl.enabled:
-                fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
-                             out.retries)
-            if out.lost:
-                self._lost()
-                return
-            fault_extra = out.extra_ns
+        start, fault_extra, lost = net._reserve_hop(
+            self.packet, self.cur, hop.dim, hop.sign
+        )
+        if lost:
+            net.sim.schedule_at(start, self._lost)
+            return
         latency = LINK_COST_NS[hop.dim]
         if self.idx == 0:
             latency += self.payload_extra
         else:
             latency += THROUGH_RING_NS[hop.dim]
         latency += fault_extra
-        latency += net._jitter(packet)
+        latency += net._jitter(self.packet)
         self.cur = net.torus.neighbor(self.cur, hop.dim, hop.sign)
         self.idx += 1
-        net.sim.schedule(latency, self._next_hop)
+        net.sim.schedule_at(start + latency, self._next_hop)
 
     def _lost(self) -> None:
         """Drop escalation: account the loss loudly and complete the
@@ -472,21 +486,19 @@ class _McastTransit:
                 net.sim.schedule(until - net.sim.now, self._forward,
                                  node, dim, sign, first_link)
                 return
-        link = net.link(node, dim, sign)
-        if link.channel.try_acquire():
-            self._granted(node, dim, sign, link, first_link)
+        start, fault_extra, lost = net._reserve_hop(self.packet, node, dim, sign)
+        nxt = net.torus.neighbor(node, dim, sign)
+        if lost:
+            net.sim.schedule_at(start, self._lost_branch, nxt)
+            return
+        latency = LINK_COST_NS[dim] + MULTICAST_LOOKUP_NS
+        if first_link:
+            latency += self.payload_extra
         else:
-            fl = net.flight
-            if fl.enabled:
-                fl.hop_enqueued(self.packet, link, net.sim.now)
-            cg = net.congestion
-            if cg.enabled:
-                cg.hop_enqueued(self.packet, link, net.sim.now)
-            req = link.channel.request()
-            req.add_callback(
-                lambda _ev, node=node, dim=dim, sign=sign, link=link,
-                first=first_link: self._granted(node, dim, sign, link, first)
-            )
+            latency += THROUGH_RING_NS[dim]
+        latency += fault_extra
+        latency += net._jitter(self.packet)
+        net.sim.schedule_at(start + latency, self._visit, nxt, False)
 
     def _deliver_local(
         self,
@@ -513,43 +525,6 @@ class _McastTransit:
         if self.outstanding == 0:
             net.packets_completed += 1
             self.done.succeed(net.sim.now)
-
-    def _granted(
-        self, node: NodeCoord, dim: str, sign: int, link: TorusLink, first_link: bool
-    ) -> None:
-        net = self.net
-        packet = self.packet
-        link.record(packet.wire_bytes)
-        net.link_traversals += 1
-        fl = net.flight
-        if fl.enabled:
-            fl.hop_granted(packet, link, net.sim.now)
-        cg = net.congestion
-        if cg.enabled:
-            cg.hop_granted(packet, link, net.sim.now)
-        nxt = net.torus.neighbor(node, dim, sign)
-        fa = net.faults
-        if fa is None:
-            net.sim.schedule(packet.serialization_ns, link.channel.release)
-            fault_extra = 0.0
-        else:
-            out = fa.transmit(packet, link, dim, sign, net.sim.now)
-            net.sim.schedule(out.hold_ns, link.channel.release)
-            if out.retries and fl.enabled:
-                fl.hop_fault(packet, link, out.hold_ns, out.retry_ns,
-                             out.retries)
-            if out.lost:
-                self._lost_branch(nxt)
-                return
-            fault_extra = out.extra_ns
-        latency = LINK_COST_NS[dim] + MULTICAST_LOOKUP_NS
-        if first_link:
-            latency += self.payload_extra
-        else:
-            latency += THROUGH_RING_NS[dim]
-        latency += fault_extra
-        latency += net._jitter(packet)
-        net.sim.schedule(latency, self._visit, nxt, False)
 
     def _lost_branch(self, root: NodeCoord) -> None:
         """Drop escalation on one multicast branch: every delivery in

@@ -29,6 +29,7 @@ JSONL, text summary) live in :mod:`repro.trace.export`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -188,16 +189,14 @@ class NullFlightRecorder:
     def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
         pass
 
-    def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
+    def hop_granted(
+        self, packet: "Packet", link: "TorusLink", start: float,
+        hold: float = 0.0,
+    ) -> None:
         pass
 
     def hop_fault(
-        self,
-        packet: "Packet",
-        link: "TorusLink",
-        hold_ns: float,
-        retry_ns: float,
-        retries: int,
+        self, packet: "Packet", link: "TorusLink", retry_ns: float, retries: int
     ) -> None:
         pass
 
@@ -256,8 +255,10 @@ class FlightRecorder:
         self.flights: dict[int, PacketFlight] = {}
         #: link name → [(grant_ns, release_ns, packet_id)], in grant order.
         self.link_occupancy: dict[str, list[tuple[float, float, int]]] = {}
-        #: link name → [(time_ns, waiting)], sampled at enqueue/grant.
-        self.queue_depth_series: dict[str, list[tuple[float, int]]] = {}
+        #: link name → [(time_ns, waiting)]; see :attr:`queue_depth_series`.
+        self._queue_depth: dict[str, list[tuple[float, int]]] = {}
+        #: link → grant times of its waited hops not sampled yet.
+        self._grants_due: dict["TorusLink", deque[float]] = {}
         #: (packet_id, link name) → (enqueue_ns, observed queue depth).
         self._pending: dict[tuple[int, str], tuple[float, int]] = {}
         #: Successful counter polls, in completion order.
@@ -292,27 +293,34 @@ class FlightRecorder:
         """The packet found the link busy and joined its queue."""
         name = repr(link.link_id)
         # Depth observed just before this packet joins the waiters.
-        depth = link.channel.queue_length
+        depth = link.queue_length
         self._pending[(packet.packet_id, name)] = (now, depth)
-        self.queue_depth_series.setdefault(name, []).append((now, depth + 1))
+        series = self._queue_depth.setdefault(name, [])
+        due = self._grants_due.get(link)
+        if due:
+            series.extend(sample_grants(due, now))
+        series.append((now, depth + 1))
         m = self.metrics
         if m is not None:
             g = m.gauge("net.queue_depth")
             g.set(depth + 1)
 
-    def hop_granted(self, packet: "Packet", link: "TorusLink", now: float) -> None:
-        """The packet acquired the channel and starts streaming."""
+    def hop_granted(
+        self, packet: "Packet", link: "TorusLink", start: float, hold: float
+    ) -> None:
+        """The packet reserved the channel: it streams for ``hold`` ns
+        from ``start`` (its grant time, possibly still in the future)."""
         name = repr(link.link_id)
         lid = link.link_id
-        enqueue_ns, depth = self._pending.pop((packet.packet_id, name), (now, 0))
-        release = now + packet.serialization_ns
+        enqueue_ns, depth = self._pending.pop((packet.packet_id, name), (start, 0))
+        release = start + hold
         hop = HopRecord(
             link=name,
             dim=lid.dim,
             sign=lid.sign,
             from_node=tuple(lid.node),
             enqueue_ns=enqueue_ns,
-            grant_ns=now,
+            grant_ns=start,
             release_ns=release,
             queue_depth=depth,
         )
@@ -320,43 +328,30 @@ class FlightRecorder:
         if flight is not None:
             flight.hops.append(hop)
         self.link_occupancy.setdefault(name, []).append(
-            (now, release, packet.packet_id)
+            (start, release, packet.packet_id)
         )
-        if enqueue_ns != now:
-            # The grant drains one waiter; sample the shrinking queue.
-            self.queue_depth_series.setdefault(name, []).append(
-                (now, link.channel.queue_length)
-            )
+        if enqueue_ns != start:
+            # The grant drains one waiter; its depth sample waits until
+            # every earlier arrival at this link is known.
+            self._grants_due.setdefault(link, deque()).append(start)
         m = self.metrics
         if m is not None:
             m.counter("net.link_traversals").inc()
-            if enqueue_ns != now:
-                m.histogram("net.hop_wait_ns").observe(now - enqueue_ns)
+            if enqueue_ns != start:
+                m.histogram("net.hop_wait_ns").observe(start - enqueue_ns)
 
     def hop_fault(
-        self,
-        packet: "Packet",
-        link: "TorusLink",
-        hold_ns: float,
-        retry_ns: float,
-        retries: int,
+        self, packet: "Packet", link: "TorusLink", retry_ns: float, retries: int
     ) -> None:
-        """The fault session stretched the hop recorded by the
-        immediately preceding ``hop_granted`` (retransmissions and/or
-        degraded bandwidth): amend its release time and retry span so
-        the critical-path analyzer can tile retry time exactly."""
-        name = repr(link.link_id)
+        """The hop recorded by the immediately preceding ``hop_granted``
+        was retransmitted: record its retry span so the critical-path
+        analyzer can tile retry time exactly."""
         flight = self.flights.get(packet.packet_id)
         if flight is not None and flight.hops:
             hop = flight.hops[-1]
-            if hop.link == name:
-                hop.release_ns = hop.grant_ns + hold_ns
+            if hop.link == repr(link.link_id):
                 hop.retry_ns = retry_ns
                 hop.retries = retries
-        occ = self.link_occupancy.get(name)
-        if occ and occ[-1][2] == packet.packet_id:
-            grant, _release, pid = occ[-1]
-            occ[-1] = (grant, grant + hold_ns, pid)
 
     def packet_delivered(
         self, packet: "Packet", node: tuple, client: str, now: float
@@ -422,6 +417,23 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    @property
+    def queue_depth_series(self) -> dict[str, list[tuple[float, int]]]:
+        """Link name → ``[(time_ns, waiting)]``, sampled when a packet
+        joins a link's queue and when a waiter is granted.
+
+        A grant's sample needs every arrival before it, so it is taken
+        once the simulation has reached the grant (at a later enqueue on
+        the same link, or here).  At equal times a grant sorts before an
+        enqueue: a link freed at ``t`` serves a request made at ``t``.
+        """
+        for link, due in self._grants_due.items():
+            if due:
+                self._queue_depth[repr(link.link_id)].extend(
+                    sample_grants(due, link.sim.now)
+                )
+        return self._queue_depth
+
     def packets(self) -> list[PacketFlight]:
         """All recorded flights, in injection order."""
         return list(self.flights.values())
@@ -546,13 +558,26 @@ class FlightRecorder:
     def clear(self) -> None:
         self.flights.clear()
         self.link_occupancy.clear()
-        self.queue_depth_series.clear()
+        self._queue_depth.clear()
+        self._grants_due.clear()
         self._pending.clear()
         self.polls.clear()
         self.phases.clear()
 
     def __len__(self) -> int:
         return len(self.flights)
+
+
+def sample_grants(due: deque[float], until: float) -> Iterator[tuple[float, int]]:
+    """Pop the grant times in ``due`` up to ``until``, each with the
+    depth of the queue it leaves behind.
+
+    ``due`` holds one link's waited grants in FCFS order.  Every waiter
+    still in it asked for the link before the popped grant (a later
+    arrival would have popped it first), so that depth is ``len(due)``.
+    """
+    while due and due[0] <= until:
+        yield due.popleft(), len(due)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,26 @@ def test_nan_times_rejected(sim):
     assert sim.pending == 0
 
 
+def test_schedule_at_rejects_past_and_nan_times(sim):
+    sim.run(until=10.0)
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        sim.schedule_at(9.5, lambda: None)
+    assert sim.now == 10.0
+    assert sim.pending == 0
+
+
+def test_schedule_at_runs_at_the_exact_absolute_time(sim):
+    seen = []
+    sim.run(until=0.1)
+    when = 0.1 + 0.2
+    sim.schedule_at(when, lambda: seen.append(sim.now))
+    sim.schedule_at(sim.now, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [0.1, when]
+
+
 def test_crash_in_fan_out_leaves_remaining_waiters_pending(sim):
     ev = sim.event()
     woke = []
