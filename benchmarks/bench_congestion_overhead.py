@@ -20,7 +20,8 @@ from conftest import once
 
 from repro.analysis import render_table
 from repro.analysis.mdstep import build_dhfr_md
-from repro.congestion import use_congestion
+from repro.congestion import CongestionRecorder
+from repro.network.probe import use_probes
 
 #: CPU-time budget for instrumented runs (fraction over bare).
 OVERHEAD_BUDGET = 0.10
@@ -33,7 +34,7 @@ def _one_step(instrumented: bool):
     """One range-limited step; returns (cpu seconds, results, recorder)."""
     start = time.process_time()
     if instrumented:
-        with use_congestion() as recorder:
+        with use_probes(CongestionRecorder()) as (recorder,):
             md = build_dhfr_md(_SHAPE, atoms=_ATOMS)
             report = md.run_step("range_limited")
     else:

@@ -1,7 +1,7 @@
 """Telemetry overhead — tracing must be free when off, cheap when on.
 
-Runs the Fig. 5 latency sweep three ways: untraced (the null flight
-recorder, the default), with flight recording attached, and with flight
+Runs the Fig. 5 latency sweep three ways: untraced (no network probes,
+the default), with flight recording attached, and with flight
 recording feeding a metrics registry.  Asserts that telemetry never
 perturbs the simulated results, and reports the wall-clock cost of
 each mode so a regression in the disabled path (which every ordinary
@@ -13,7 +13,8 @@ import time
 from conftest import once
 
 from repro.analysis import latency_vs_hops, render_table
-from repro.trace.flight import FlightRecorder, use_flight
+from repro.network.probe import use_probes
+from repro.trace.flight import FlightRecorder
 from repro.trace.metrics import MetricsRegistry
 
 
@@ -27,7 +28,7 @@ def _timed_sweep(mode: str):
     else:
         metrics = MetricsRegistry() if mode == "metrics" else None
         fl = FlightRecorder(metrics=metrics)
-        with use_flight(fl):
+        with use_probes(fl):
             points = latency_vs_hops(shape=shape)
         flights = len(fl)
     return time.perf_counter() - start, points, flights

@@ -48,10 +48,9 @@ with the ledger on or off.
 
 Every measurement subcommand shares the same canonical flags —
 ``--shape``, ``--rounds``, ``--payload``, ``--seed`` — built from one
-argparse parent parser (old spellings survive as hidden deprecated
-aliases that print a one-line warning), plus ``--metrics``, which runs
-it with the telemetry layer attached and prints the metrics registry
-(counters / gauges / latency percentiles) after the result.
+argparse parent parser, plus ``--metrics``, which runs it with the
+telemetry layer attached and prints the metrics registry (counters /
+gauges / latency percentiles) after the result.
 """
 
 from __future__ import annotations
@@ -69,37 +68,6 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(
             f"shape must look like 8x8x8, got {text!r}"
         ) from None
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Accept an old spelling, emit a removal notice, store normally.
-
-    The old spellings (``--payload-bytes``, positional all-reduce
-    shapes) parse identically to their canonical replacements
-    (``--payload``, ``--shape``) but are on a removal timeline: each
-    use raises a :class:`DeprecationWarning` naming the replacement
-    (so test suites and ``-W error`` runs catch stragglers) and prints
-    the same notice to stderr (DeprecationWarnings are hidden by
-    default outside ``__main__``, and CLI users must still see it).
-    """
-
-    def __init__(self, option_strings, dest, replacement="", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self._replacement = replacement
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values in (None, []):
-            return
-        import warnings
-
-        name = option_string or self.metavar or self.dest
-        msg = f"{name} is deprecated and will be removed in a future release"
-        if self._replacement:
-            msg += f"; use {self._replacement} instead"
-        warnings.warn(msg, DeprecationWarning, stacklevel=2)
-        print(f"warning: {msg}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
 
 
 def _canonical_parent(
@@ -121,9 +89,6 @@ def _canonical_parent(
                    help=f"repetitions inside the experiment (default {rounds})")
     p.add_argument("--payload", type=int, default=0,
                    help="payload bytes where applicable (default 0)")
-    # Old spelling kept as a hidden deprecated alias.
-    p.add_argument("--payload-bytes", dest="payload", type=int,
-                   action=_DeprecatedAlias, replacement="--payload")
     p.add_argument("--seed", type=int, default=0,
                    help="base RNG seed mixed into every run (default 0)")
     p.add_argument(
@@ -219,6 +184,27 @@ def _effective_jobs(args) -> int:
 # Sweep-driven commands
 # ---------------------------------------------------------------------------
 
+def _metrics_captures(registry):
+    """The captures ``--metrics`` gives every run of a sweep-driven
+    command: the flight recorder, feeding the shared ``registry``."""
+    from repro.runner import Captures
+
+    if registry is None:
+        return None
+    return Captures(flight=True, registry=registry)
+
+
+def _spec(args, hops=None):
+    """The spec a single-run command (trace, profile, attribute,
+    congest) asks for."""
+    from repro.runner import ExperimentSpec
+
+    return ExperimentSpec(
+        args.experiment, shape=args.shape, rounds=args.rounds,
+        payload=args.payload, seed=args.seed, hops=hops,
+    )
+
+
 def _run_sweep_cmd(args, registry) -> int:
     from repro.profile.telemetry import SweepTelemetry
     from repro.runner import expand_grid, parse_grid, run_sweep
@@ -293,7 +279,7 @@ def _run_sweep_cmd(args, registry) -> int:
         out_dir=out_dir,
         resume=args.resume is not None,
         registry=registry,
-        run_registry=registry,
+        captures=_metrics_captures(registry),
         progress=progress,
         timeout_s=args.timeout,
         retries=args.retries,
@@ -373,13 +359,10 @@ def _resolve_wall_profile(ledger, target: str) -> tuple[dict, str]:
 
 
 def _run_profile(args) -> int:
-    from repro.profile.capture import run_profiled
     from repro.profile.export import render_table, write_profile
+    from repro.runner import Captures, run_experiment
 
-    result = run_profiled(
-        args.experiment, shape=args.shape, rounds=args.rounds,
-        payload=args.payload, seed=args.seed,
-    )
+    result = run_experiment(_spec(args), Captures(profile=True))
     profiler = result.profile
     assert profiler is not None
     print(f"profiled {args.experiment}: {result.description}")
@@ -450,7 +433,7 @@ def _run_latency(args, registry) -> int:
         out_dir=args.resume or args.out,
         resume=args.resume is not None,
         registry=registry,
-        run_registry=registry,
+        captures=_metrics_captures(registry),
         timeout_s=args.timeout,
         retries=args.retries,
     )
@@ -481,7 +464,7 @@ def _run_allreduce(args, registry) -> int:
     from repro.analysis import render_table
     from repro.runner import ExperimentSpec, run_sweep
 
-    shapes = args.shape_list or args.shapes or [(4, 4, 4), (8, 8, 8)]
+    shapes = args.shape_list or [(4, 4, 4), (8, 8, 8)]
     specs = [
         ExperimentSpec(
             "allreduce", shape=s, rounds=args.rounds, seed=args.seed,
@@ -497,7 +480,7 @@ def _run_allreduce(args, registry) -> int:
         out_dir=args.resume or args.out,
         resume=args.resume is not None,
         registry=registry,
-        run_registry=registry,
+        captures=_metrics_captures(registry),
         timeout_s=args.timeout,
         retries=args.retries,
     )
@@ -523,13 +506,10 @@ def _run_allreduce(args, registry) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_trace(args: argparse.Namespace) -> int:
-    from repro.trace.capture import run_traced
+    from repro.runner import Captures, run_experiment
     from repro.trace.export import flight_summary, write_chrome_trace, write_jsonl
 
-    cap = run_traced(
-        args.experiment, shape=args.shape, rounds=args.rounds,
-        payload=args.payload, seed=args.seed,
-    )
+    cap = run_experiment(_spec(args), Captures(flight=True))
     write_chrome_trace(args.out, cap.flight, metrics=cap.registry)
     print(f"captured {args.experiment}: {cap.description}")
     print(f"wrote {args.out} (Chrome trace_event JSON; open in ui.perfetto.dev)")
@@ -587,14 +567,11 @@ def _run_attribute(args: argparse.Namespace) -> int:
         print(f"attributed total - simulated end-to-end: {drift:.3f} ns")
         return 0 if drift < 1e-6 else 1
 
-    from repro.trace.capture import run_traced
     from repro.analysis.critical_path import branch_hops
+    from repro.runner import Captures, run_experiment
 
     with stack:
-        cap = run_traced(
-            args.experiment, shape=args.shape, rounds=args.rounds,
-            payload=args.payload, seed=args.seed,
-        )
+        cap = run_experiment(_spec(args), Captures(flight=True))
     torus = Torus3D(*cap.shape)
     print(f"captured {args.experiment}: {cap.description}")
     print()
@@ -715,7 +692,6 @@ def _run_monitor(args: argparse.Namespace) -> int:
 
 def _run_congest(args: argparse.Namespace) -> int:
     from repro.bench.results import canonical_json
-    from repro.congestion.capture import run_congested
     from repro.congestion.decompose import (
         decompose_run,
         render_decomposition,
@@ -727,17 +703,15 @@ def _run_congest(args: argparse.Namespace) -> int:
         render_congestion_text,
     )
     from repro.congestion.tree import build_congestion_tree
+    from repro.runner import Captures, run_experiment
     from repro.topology.torus import Torus3D
 
-    result = run_congested(
-        args.experiment,
-        shape=args.shape,
-        rounds=args.rounds,
-        payload=args.payload,
-        seed=args.seed,
-        hops=args.hops,
-        senders=args.senders,
-    )
+    spec = _spec(args, hops=args.hops)
+    if args.senders is not None:
+        # Widens the congestion incast's fan-in (26 for the full 3x3x3
+        # 26-to-1 incast); it rides along as a spec extra.
+        spec = spec.with_extras(senders=args.senders)
+    result = run_experiment(spec, Captures(flight=True, congestion=True))
     torus = Torus3D(*args.shape)
     tree = build_congestion_tree(
         result.flight, torus, min_episode_ns=args.min_episode
@@ -1043,10 +1017,6 @@ def main(argv: list[str] | None = None) -> int:
                       action="append", default=None, metavar="SHAPE",
                       help="machine shape, repeatable "
                            "(default 4x4x4 and 8x8x8)")
-    # Old spelling: positional shapes, kept as a deprecated alias.
-    p_ar.add_argument("shapes", nargs="*", type=_parse_shape, default=[],
-                      action=_DeprecatedAlias, replacement="--shape",
-                      metavar="shapes")
 
     p_sw = sub.add_parser(
         "sweep",
@@ -1100,13 +1070,13 @@ def main(argv: list[str] | None = None) -> int:
                            "id (prefix) or an on-disk profile file "
                            "(speedscope or --format json output)")
 
-    from repro.trace.capture import EXPERIMENTS
+    traceable = experiment_names(traceable=True)
 
     p_tr = sub.add_parser(
         "trace", parents=[_canonical_parent()],
         help="record a packet flight trace and export it for Perfetto",
     )
-    p_tr.add_argument("experiment", choices=EXPERIMENTS)
+    p_tr.add_argument("experiment", choices=traceable)
     p_tr.add_argument("--out", default="trace.json",
                       help="Chrome trace_event JSON output path")
     p_tr.add_argument("--jsonl", default=None,
@@ -1116,7 +1086,7 @@ def main(argv: list[str] | None = None) -> int:
         "attribute", parents=[_canonical_parent(shape=(8, 8, 8))],
         help="trace-derived latency attribution (Fig. 6 from recorded spans)",
     )
-    p_at.add_argument("experiment", choices=EXPERIMENTS)
+    p_at.add_argument("experiment", choices=traceable)
     p_at.add_argument("--hops", type=int, default=1,
                       help="network hops for the latency experiment")
     p_at.add_argument("--top", type=int, default=10,
@@ -1195,7 +1165,6 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--html", default="report.html", metavar="OUT",
                        help="HTML output path (default report.html)")
 
-    from repro.congestion.capture import EXPERIMENTS as CONGEST_EXPERIMENTS
 
     p_cg = sub.add_parser(
         "congest", parents=[_canonical_parent(), _ledger_parent()],
@@ -1208,7 +1177,7 @@ def main(argv: list[str] | None = None) -> int:
                     "feeders, blocking episodes, and the exact "
                     "per-packet delay decomposition.",
     )
-    p_cg.add_argument("experiment", choices=CONGEST_EXPERIMENTS)
+    p_cg.add_argument("experiment", choices=traceable)
     p_cg.add_argument("--hops", type=int, default=None,
                       help="network hops for the latency experiment")
     p_cg.add_argument("--senders", type=int, default=None,
@@ -1346,12 +1315,15 @@ def main(argv: list[str] | None = None) -> int:
     registry = None
     stack = ExitStack()
     if getattr(args, "metrics", False):
-        from repro.trace.flight import FlightRecorder, use_flight
+        from repro.network.probe import use_probes
+        from repro.trace.flight import FlightRecorder
         from repro.trace.metrics import MetricsRegistry, use_registry
 
+        # Ambient for the commands that build machines directly; the
+        # sweep-driven ones pass the same pair to each run as Captures.
         registry = MetricsRegistry()
         stack.enter_context(use_registry(registry))
-        stack.enter_context(use_flight(FlightRecorder(metrics=registry)))
+        stack.enter_context(use_probes(FlightRecorder(metrics=registry)))
 
     with stack:
         if args.command == "sweep":

@@ -340,12 +340,14 @@ def measure_attribution(
     from repro.analysis.latency import _destination_for_hops
     from repro.asic.node import build_machine
     from repro.engine.simulator import Simulator
-    from repro.trace.flight import FlightRecorder, use_flight
+    from repro.network.probe import use_probes
+    from repro.trace.flight import FlightRecorder
 
     dst_coord = _destination_for_hops(shape, hops)
     sim = Simulator()
     fl = FlightRecorder()
-    with use_flight(fl):
+    # Added to, not instead of, any probes the caller made ambient.
+    with use_probes(fl):
         machine = build_machine(sim, *shape)
     src = machine.node((0, 0, 0)).slice(0)
     # The 0-hop case sends between slices of one node, as in Fig. 5.

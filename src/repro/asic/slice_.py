@@ -94,9 +94,11 @@ class ProcessingSlice(NetworkClient):
         begin = self.sim.now
         yield from self.tensilica.use(SLICE_SEND_NS)
         done = self.inject(packet)
-        fl = self.network.flight
-        if fl.enabled:
-            fl.software_send(packet, begin, self.sim.now)
+        probes = self.network.probes
+        if probes:
+            now = self.sim.now
+            for probe in probes:
+                probe.software_send(packet, begin, now)
         return done
 
     def send_write(
@@ -192,11 +194,13 @@ class ProcessingSlice(NetworkClient):
         yield self.counter(counter_id).wait_for(target)
         trigger = self.sim.now
         yield from self.tensilica.use(POLL_SUCCESS_NS)
-        fl = self.network.flight
-        if fl.enabled:
-            fl.poll_completed(
-                self.node, self.name, counter_id, target, trigger, self.sim.now
-            )
+        probes = self.network.probes
+        if probes:
+            now = self.sim.now
+            for probe in probes:
+                probe.poll_completed(
+                    self.node, self.name, counter_id, target, trigger, now
+                )
         return self.sim.now
 
     def poll_accum(

@@ -224,10 +224,10 @@ class AllReduce:
         easy to verify).  Returns the result with timing.
         """
         start = self.sim.now
-        fl = self.machine.network.flight
+        probes = self.machine.network.probes
         phase = f"allreduce[{self.payload_bytes}B]#{self._runs + 1}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
+        for probe in probes:
+            probe.phase_begin(phase, start)
         from repro.profile.profiler import active_profiler
 
         prof = active_profiler()
@@ -240,8 +240,8 @@ class AllReduce:
             if prof is not None:
                 prof.phase_end("allreduce")
         elapsed = max(done_times.values()) - start
-        if fl.enabled:
-            fl.phase_end(phase, max(done_times.values()))
+        for probe in probes:
+            probe.phase_end(phase, max(done_times.values()))
         results = set(final.values())
         if len(results) != 1:
             raise AssertionError(f"all-reduce diverged: {sorted(results)[:4]}")
@@ -371,10 +371,10 @@ class ButterflyAllReduce:
             values = {c: float(torus.rank(c)) for c in torus.nodes()}
         self._runs += 1
         start = self.sim.now
-        fl = self.machine.network.flight
+        probes = self.machine.network.probes
         phase = f"butterfly[{self.payload_bytes}B]#{self._runs}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
+        for probe in probes:
+            probe.phase_begin(phase, start)
         from repro.profile.profiler import active_profiler
 
         prof = active_profiler()
@@ -391,8 +391,8 @@ class ButterflyAllReduce:
         finally:
             if prof is not None:
                 prof.phase_end("butterfly")
-        if fl.enabled:
-            fl.phase_end(phase, max(done.values()))
+        for probe in probes:
+            probe.phase_end(phase, max(done.values()))
         results = set(final.values())
         if len(results) != 1:
             raise AssertionError(f"butterfly all-reduce diverged: {sorted(results)[:4]}")

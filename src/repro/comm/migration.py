@@ -155,10 +155,10 @@ class MigrationProtocol:
         """
         torus = self.torus
         start = self.sim.now
-        fl = self.machine.network.flight
+        probes = self.machine.network.probes
         phase = f"migration#{self._runs + 1}"
-        if fl.enabled:
-            fl.phase_begin(phase, start)
+        for probe in probes:
+            probe.phase_begin(phase, start)
         from repro.profile.profiler import active_profiler
 
         prof = active_profiler()
@@ -170,8 +170,8 @@ class MigrationProtocol:
         finally:
             if prof is not None:
                 prof.phase_end("migration")
-        if fl.enabled:
-            fl.phase_end(phase, max(done.values()))
+        for probe in probes:
+            probe.phase_end(phase, max(done.values()))
         sent = sum(len(v) for v in moves.values())
         got = sum(len(v) for v in received.values())
         if got != sent:  # pragma: no cover - protocol invariant

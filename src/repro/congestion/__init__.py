@@ -2,10 +2,11 @@
 
 Three layers over the network's head-of-line queues:
 
-* :mod:`repro.congestion.recorder` — zero-perturbation event hooks
-  that sample per-link-direction queue depth and occupancy into
-  fixed-capacity ring buffers (off by default, ambient like the
-  flight recorder);
+* :mod:`repro.congestion.recorder` — a zero-perturbation network
+  probe that samples per-link-direction queue depth and occupancy into
+  fixed-capacity ring buffers (attached with
+  ``run_experiment(spec, Captures(congestion=True))``, or ambiently
+  with :func:`~repro.network.probe.use_probes`);
 * :mod:`repro.congestion.decompose` — per-packet queueing-delay
   decomposition that tiles each delivery's end-to-end latency exactly
   into serialization / wire / HOL wait / retry / through-node /
@@ -14,25 +15,9 @@ Three layers over the network's head-of-line queues:
   (which upstream links feed waits into which bottleneck) and
   sustained HOL-blocking episodes.
 
-Rendering lives in :mod:`repro.congestion.report`; CLI capture in
-:mod:`repro.congestion.capture` (kept out of this namespace so the
-package stays import-cycle-free, like :mod:`repro.trace`).
+Rendering lives in :mod:`repro.congestion.report`.
 """
 
-from repro.congestion.recorder import (
-    NULL_CONGESTION,
-    CongestionRecorder,
-    NullCongestionRecorder,
-    active_congestion,
-    direction_label,
-    use_congestion,
-)
+from repro.congestion.recorder import CongestionRecorder, direction_label
 
-__all__ = [
-    "NULL_CONGESTION",
-    "CongestionRecorder",
-    "NullCongestionRecorder",
-    "active_congestion",
-    "direction_label",
-    "use_congestion",
-]
+__all__ = ["CongestionRecorder", "direction_label"]

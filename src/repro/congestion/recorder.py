@@ -9,13 +9,12 @@ continuous-monitoring sampler uses — bounded memory whatever the run
 length, with overwritten samples counted in ``dropped``, never lost
 silently.
 
-Like the flight recorder, the fault session, and the engine profiler,
-this is a passive observer with a zero-cost disabled path: the
-network's default recorder is the module-level :data:`NULL_CONGESTION`
-singleton whose ``enabled`` flag is ``False``, and the transport guards
-every hook behind that flag.  An instrumented run is
-simulation-identical to a bare one (property-tested by
-``tests/properties/test_congestion_equivalence.py``).
+Like the flight recorder, this is a passive
+:class:`~repro.network.probe.Probe`: a network attaches it through its
+``probes`` tuple (ambiently with :func:`~repro.network.probe.use_probes`),
+and a network without probes pays one truth test per hook site.  An
+instrumented run is simulation-identical to a bare one (property-tested
+by ``tests/properties/test_congestion_equivalence.py``).
 
 When a :class:`~repro.trace.metrics.MetricsRegistry` is supplied the
 recorder also feeds the ``congestion.*`` aggregate metrics:
@@ -28,10 +27,10 @@ any direction.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.monitor.series import RingSeries
+from repro.network.probe import Probe
 from repro.trace.flight import sample_grants
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,30 +43,6 @@ def direction_label(dim: str, sign: int) -> str:
     """The six-way direction tag (``x+`` … ``z-``) used to group link
     telemetry across the machine."""
     return f"{dim}{'+' if sign > 0 else '-'}"
-
-
-class NullCongestionRecorder:
-    """The do-nothing recorder guarding the disabled fast path.
-
-    The transport checks ``recorder.enabled`` before calling any hook,
-    so these methods exist only as a safety net for direct callers.
-    """
-
-    enabled = False
-    metrics: "Optional[MetricsRegistry]" = None
-
-    def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
-        pass
-
-    def hop_granted(
-        self, packet: "Packet", link: "TorusLink", start: float,
-        hold: float = 0.0,
-    ) -> None:
-        pass
-
-
-#: Shared default recorder for every uninstrumented network.
-NULL_CONGESTION = NullCongestionRecorder()
 
 
 class _LinkStats:
@@ -98,7 +73,7 @@ class _LinkStats:
         self.due: deque[float] = deque()
 
 
-class CongestionRecorder:
+class CongestionRecorder(Probe):
     """Event-driven per-link-direction congestion timelines.
 
     Parameters
@@ -115,7 +90,6 @@ class CongestionRecorder:
         series_capacity: int = 512,
         metrics: "Optional[MetricsRegistry]" = None,
     ) -> None:
-        self.enabled = True
         self.metrics = metrics
         self.series_capacity = int(series_capacity)
         #: Per-link accumulators, keyed by the live link object.
@@ -124,7 +98,7 @@ class CongestionRecorder:
         self._pending: "dict[tuple[int, TorusLink], float]" = {}
 
     # ------------------------------------------------------------------
-    # hooks (called by the network transport, behind ``enabled``)
+    # hooks (called by the network transport)
     # ------------------------------------------------------------------
     def _make(self, link: "TorusLink") -> _LinkStats:
         lid = link.link_id
@@ -272,31 +246,3 @@ class CongestionRecorder:
 
     def __len__(self) -> int:
         return len(self._stats)
-
-
-# ---------------------------------------------------------------------------
-# Ambient recorder (same pattern as repro.trace.flight.use_flight)
-# ---------------------------------------------------------------------------
-#: Recorder picked up by every Network constructed while it is active.
-_active_congestion: "CongestionRecorder | NullCongestionRecorder" = NULL_CONGESTION
-
-
-def active_congestion() -> "CongestionRecorder | NullCongestionRecorder":
-    """The recorder new networks attach at construction time."""
-    return _active_congestion
-
-
-@contextmanager
-def use_congestion(
-    recorder: Optional[CongestionRecorder] = None,
-) -> Iterator[CongestionRecorder]:
-    """Install a congestion recorder as the ambient one for the block."""
-    global _active_congestion
-    if recorder is None:
-        recorder = CongestionRecorder()
-    prev = _active_congestion
-    _active_congestion = recorder
-    try:
-        yield recorder
-    finally:
-        _active_congestion = prev

@@ -3,9 +3,10 @@
 :class:`Resource` models a server with fixed capacity (a processing-slice
 core, an HTIS pipeline front-end): requests are granted strictly in
 arrival order.  Torus links, whose hold times are known up front, use
-the event-free reservation in :mod:`repro.network.link` instead.  :class:`Store` is an unbounded
-FIFO of items with blocking ``get``, used for hardware message FIFOs and
-for handing packets between pipeline stages.
+the event-free reservation in :mod:`repro.network.link` instead (and
+keep their own busy-time and queue-depth accounting).  :class:`Store`
+is an unbounded FIFO of items with blocking ``get``, used for hardware
+message FIFOs and for handing packets between pipeline stages.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: deque[Event] = deque()
-        # Statistics for utilization accounting (trace/stats).
-        self.total_busy_ns: float = 0.0
-        self._busy_since: Optional[float] = None
-        #: Deepest wait queue ever observed (head-of-line telemetry);
-        #: updated only on the contended path, so uncontended resources
-        #: pay nothing.
-        self.peak_queue_length: int = 0
 
     @property
     def in_use(self) -> int:
@@ -67,16 +61,12 @@ class Resource:
             self._grant(ev)
         else:
             self._waiters.append(ev)
-            if len(self._waiters) > self.peak_queue_length:
-                self.peak_queue_length = len(self._waiters)
         return ev
 
     def try_acquire(self) -> bool:
         """Grant a slot immediately if one is free (hot-path variant:
         no Event allocation).  Pair with :meth:`release`."""
         if self._in_use < self.capacity:
-            if self._in_use == 0 and self._busy_since is None:
-                self._busy_since = self.sim.now
             self._in_use += 1
             return True
         return False
@@ -88,13 +78,8 @@ class Resource:
         self._in_use -= 1
         if self._waiters:
             self._grant(self._waiters.popleft())
-        elif self._in_use == 0 and self._busy_since is not None:
-            self.total_busy_ns += self.sim.now - self._busy_since
-            self._busy_since = None
 
     def _grant(self, ev: Event) -> None:
-        if self._in_use == 0 and self._busy_since is None:
-            self._busy_since = self.sim.now
         self._in_use += 1
         ev.succeed(self)
 
@@ -106,22 +91,6 @@ class Resource:
             yield self.sim.timeout(service_ns)
         finally:
             self.release()
-
-    def utilization(self, elapsed_ns: Optional[float] = None) -> float:
-        """Fraction of time this resource was busy (any slot in use).
-
-        A zero-length (or negative) window has no meaningful busy
-        fraction; it reports 0.0 rather than dividing by zero — this
-        covers both an explicit ``elapsed_ns=0`` and querying before
-        the simulation clock has advanced.
-        """
-        horizon = elapsed_ns if elapsed_ns is not None else self.sim.now
-        if horizon <= 0:
-            return 0.0
-        busy = self.total_busy_ns
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        return busy / horizon
 
 
 class Store:

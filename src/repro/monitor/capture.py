@@ -9,9 +9,8 @@ installs a bounded :class:`~repro.trace.metrics.MetricsRegistry`
 :class:`~repro.runner.spec.ExperimentSpec` through the experiment
 registry, and finalizes every monitor into health verdicts.
 
-Kept out of ``repro.monitor.__init__`` on purpose, like
-:mod:`repro.trace.capture`: it imports the analysis/MD stack, which
-itself imports the monitored subsystems.
+Kept out of ``repro.monitor.__init__`` on purpose: it imports the
+analysis/MD stack, which itself imports the monitored subsystems.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ and runs the invariant watchdogs.  :meth:`finalize` runs the stricter
 quiescence checks and returns the run's
 :class:`~repro.monitor.watchdog.HealthVerdict`.
 
-Attachment is ambient, mirroring the flight recorder:
-:func:`use_monitoring` opens a :class:`MonitorSession`, and any machine
+Attachment is ambient, like the network probes of
+:func:`~repro.network.probe.use_probes`: :func:`use_monitoring` opens a :class:`MonitorSession`, and any machine
 built by :func:`~repro.asic.node.build_machine` while the session is
 active gets a monitor automatically — which is how experiments that
 construct their own machinery (e.g. :class:`~repro.md.machine.AntonMD`)
@@ -220,7 +220,7 @@ class HealthMonitor:
 
 
 # ---------------------------------------------------------------------------
-# Ambient attachment (same pattern as trace.flight.use_flight)
+# Ambient attachment (same pattern as repro.network.probe.use_probes)
 # ---------------------------------------------------------------------------
 
 _ACTIVE_SESSION: Optional["MonitorSession"] = None

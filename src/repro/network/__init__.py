@@ -26,6 +26,7 @@ from repro.network.packet import (
     PacketKind,
     WritePacket,
 )
+from repro.network.probe import Probe, active_probes, use_probes
 
 __all__ = [
     "AccumPacket",
@@ -34,6 +35,9 @@ __all__ = [
     "Network",
     "Packet",
     "PacketKind",
+    "Probe",
     "WritePacket",
+    "active_probes",
     "compile_pattern",
+    "use_probes",
 ]

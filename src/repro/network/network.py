@@ -39,7 +39,7 @@ previous hops were *requested*.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.constants import (
     DST_RING_NS,
@@ -51,19 +51,14 @@ from repro.constants import (
     THROUGH_RING_NS,
     TORUS_LINK_EFFECTIVE_GBPS,
 )
-from repro.congestion.recorder import (
-    CongestionRecorder,
-    NullCongestionRecorder,
-    active_congestion,
-)
 from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
 from repro.network.multicast import MulticastPattern
 from repro.network.packet import Packet
+from repro.network.probe import Probe, active_probes
 from repro.topology.torus import NodeCoord, Torus3D
-from repro.trace.flight import FlightRecorder, NullFlightRecorder, active_flight
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.asic.client import NetworkClient
@@ -90,18 +85,16 @@ class Network:
         keeps the network deterministic and calibrated.
     seed:
         Seed for the jitter RNG (jitter is still reproducible).
-    flight:
-        Optional :class:`~repro.trace.flight.FlightRecorder` observing
-        every packet's causal spans.  Defaults to the ambient recorder
-        (:func:`~repro.trace.flight.active_flight`), which is the
-        zero-cost null recorder unless telemetry was switched on; the
-        transport guards every hook behind ``flight.enabled``.
-    congestion:
-        Optional :class:`~repro.congestion.recorder.CongestionRecorder`
-        sampling per-link-direction queue depth and occupancy at every
-        contended hop.  Same ambient/null discipline as ``flight``:
-        defaults to :func:`~repro.congestion.recorder.active_congestion`
-        and every hook is guarded behind ``congestion.enabled``.
+    faults:
+        Optional :class:`~repro.faults.session.FaultSession`; defaults
+        to the ambient one (see :mod:`repro.faults`).
+    probes:
+        Passive observers (:class:`~repro.network.probe.Probe`: the
+        flight recorder, the congestion X-ray) whose hooks see every
+        injection, hop and delivery.  Defaults to the ambient probes
+        (:func:`~repro.network.probe.active_probes`), which are none
+        unless telemetry was switched on; each hook site tests the
+        tuple once.
     """
 
     def __init__(
@@ -110,15 +103,13 @@ class Network:
         torus: Torus3D,
         reorder_jitter_ns: float = 0.0,
         seed: int = 0,
-        flight: "FlightRecorder | NullFlightRecorder | None" = None,
         faults: "FaultSession | None" = None,
-        congestion: "CongestionRecorder | NullCongestionRecorder | None" = None,
+        probes: "Iterable[Probe] | None" = None,
     ) -> None:
         self.sim = sim
         self.torus = torus
-        self.flight = flight if flight is not None else active_flight()
-        self.congestion = (
-            congestion if congestion is not None else active_congestion()
+        self.probes: tuple[Probe, ...] = (
+            tuple(probes) if probes is not None else active_probes()
         )
         #: Fault-injection session (see :mod:`repro.faults`); defaults
         #: to the ambient session, which is ``None`` — and a disabled
@@ -238,9 +229,11 @@ class Network:
         destination client (all of them, for multicast).
         """
         self.packets_injected += 1
-        fl = self.flight
-        if fl.enabled:
-            fl.packet_injected(packet, self.sim.now)
+        probes = self.probes
+        if probes:
+            now = self.sim.now
+            for probe in probes:
+                probe.packet_injected(packet, now)
         done = Event(self.sim, name="delivered")
         if packet.is_multicast:
             _McastTransit(self, packet, done)
@@ -281,13 +274,10 @@ class Network:
         """
         link = self.link(node, dim, sign)
         now = self.sim.now
-        fl = self.flight
-        cg = self.congestion
-        if now < link.free_at:
-            if fl.enabled:
-                fl.hop_enqueued(packet, link, now)
-            if cg.enabled:
-                cg.hop_enqueued(packet, link, now)
+        probes = self.probes
+        if probes and now < link.free_at:
+            for probe in probes:
+                probe.hop_enqueued(packet, link, now)
         fa = self.faults
         if fa is None:
             out = None
@@ -299,12 +289,11 @@ class Network:
         start = link.reserve(now, hold)
         link.record(packet.wire_bytes)
         self.link_traversals += 1
-        if fl.enabled:
-            fl.hop_granted(packet, link, start, hold)
-            if out is not None and out.retries:
-                fl.hop_fault(packet, link, out.retry_ns, out.retries)
-        if cg.enabled:
-            cg.hop_granted(packet, link, start, hold)
+        if probes:
+            for probe in probes:
+                probe.hop_granted(packet, link, start, hold)
+                if out is not None and out.retries:
+                    probe.hop_fault(packet, link, out.retry_ns, out.retries)
         if out is None:
             return start, 0.0, False
         return start, out.extra_ns, out.lost
@@ -322,9 +311,11 @@ class Network:
                 f"{client_name!r} at {node}"
             )
         self.packets_delivered += 1
-        fl = self.flight
-        if fl.enabled:
-            fl.packet_delivered(packet, node, client_name, self.sim.now)
+        probes = self.probes
+        if probes:
+            now = self.sim.now
+            for probe in probes:
+                probe.packet_delivered(packet, node, client_name, now)
         client.receive(packet)
 
 

@@ -14,8 +14,8 @@ Two observability layers in one package, both strictly passive:
   ``sweep.*`` gauges, ``status.json``, the terminal progress line, and
   the Prometheus + HTML report pipeline.
 
-``run_profiled`` lives in :mod:`repro.profile.capture` (imported
-lazily by the CLI) because it pulls in the experiment registry.
+A run asks for the profiler with
+``run_experiment(spec, Captures(profile=True))``.
 """
 
 from repro.profile.export import (

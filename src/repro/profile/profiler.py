@@ -385,7 +385,7 @@ class EngineProfiler:
 
 
 # ---------------------------------------------------------------------------
-# Ambient profiling session (same pattern as use_registry / use_flight)
+# Ambient profiling session (same pattern as use_registry / use_probes)
 # ---------------------------------------------------------------------------
 
 _ACTIVE_SESSION: Optional["ProfileSession"] = None

@@ -1,8 +1,7 @@
 """The one result type every run produces: :class:`RunResult`.
 
-``run_traced`` used to hand back an ad-hoc capture object, the monitor
-CLI another, and the bench suite raw floats.  The runner subsystem
-funnels them all through :class:`RunResult`: the spec that produced
+Every run — traced, profiled, monitored, swept or benchmarked —
+produces one :class:`RunResult`: the spec that produced
 the run, the headline simulated elapsed nanoseconds, the named
 measurements, a plain-data metrics snapshot, and any artifact paths.
 The serializable core round-trips through :meth:`RunResult.to_dict` /
@@ -195,11 +194,13 @@ class Captures:
       ``result.congestion``.
     * ``registry`` — accumulate metrics into a caller-owned
       :class:`~repro.trace.metrics.MetricsRegistry` instead of a fresh
-      run-owned one (the monitor's Prometheus path).
+      run-owned one (the monitor's Prometheus path and the CLI's
+      ``--metrics``); back on ``result.registry``.
 
-    Frozen so a single instance can parameterize a whole sweep.  All
-    captures are passive: the serialized result core is byte-identical
-    with every combination on or off.
+    ``Captures`` is the only way a run asks for observers.  Frozen so a
+    single instance can parameterize a whole sweep.  All captures are
+    passive: the serialized result core is byte-identical with every
+    combination on or off.
     """
 
     flight: bool = False
@@ -214,98 +215,60 @@ class Captures:
         )
 
 
-_LEGACY_FLAGS_MSG = (
-    "run_experiment(flight=/registry=/profile=/congestion=) is deprecated; "
-    "pass captures=Captures(...) instead (see the runner migration note in "
-    "README.md)"
-)
-
-
 def run_experiment(
-    spec: ExperimentSpec,
-    captures: Optional[Captures] = None,
-    *,
-    flight: Optional[bool] = None,
-    registry: Optional[MetricsRegistry] = None,
-    profile: Optional[bool] = None,
-    congestion: Optional[bool] = None,
+    spec: ExperimentSpec, captures: Optional[Captures] = None
 ) -> RunResult:
     """Execute one spec through the registry and wrap the outcome.
 
     The run is hermetic and deterministic: the ambient RNG is seeded
     from the spec's content (so stochastic components, if any, repeat
-    bit-for-bit in any process), and a fresh metrics registry is
-    installed unless the caller supplies one to accumulate into.
-    ``captures`` selects the live observers to attach (flight
-    recorder, engine self-profiler, congestion X-ray, caller-owned
-    metrics registry) — see :class:`Captures`.
-
-    The keyword flags ``flight=``/``registry=``/``profile=``/
-    ``congestion=`` are deprecated shims for the pre-``Captures`` API:
-    they emit :class:`DeprecationWarning` and translate onto an
-    equivalent ``Captures`` (passing both forms is an error).
+    bit-for-bit in any process), and the experiment's own metrics go
+    to a fresh registry whose snapshot is the serialized
+    ``result.metrics``.  ``captures`` selects the live observers to
+    attach (flight recorder, engine self-profiler, congestion X-ray,
+    caller-owned metrics registry) — see :class:`Captures`.  The run
+    attaches exactly those network probes: ambient ones from an outer
+    :func:`~repro.network.probe.use_probes` block do not leak in.
 
     Every run also gets wall-clock execution facts on ``result.meta``
     (events/sec, peak RSS, wall seconds) —
     observed from outside the simulation, never serialized with it.
     """
-    import warnings
-
     from repro.engine.simulator import add_new_sim_hook, remove_new_sim_hook
+    from repro.network.probe import use_probes
 
-    if (flight, registry, profile, congestion) != (None, None, None, None):
-        warnings.warn(_LEGACY_FLAGS_MSG, DeprecationWarning, stacklevel=2)
-        if captures is not None:
-            raise TypeError(
-                "pass either captures=Captures(...) or the legacy "
-                "flight=/registry=/profile=/congestion= flags, not both"
-            )
-        captures = Captures(
-            flight=bool(flight),
-            profile=bool(profile),
-            congestion=bool(congestion),
-            registry=registry,
-        )
     caps = captures if captures is not None else Captures()
-    flight = caps.flight
-    profile = caps.profile
-    congestion = caps.congestion
-    registry = caps.registry
-
     defn = get_experiment(spec)
-    own_registry = registry is None
-    if own_registry:
-        registry = MetricsRegistry()
-    random.seed(spec.derived_seed())
+    # ``core`` receives only what the experiment itself records, so the
+    # serialized snapshot is the same whatever is captured; ``live``
+    # (the caller's registry, or a run-owned one) also gets the
+    # observers' rows, and ``core`` is folded into it afterwards.
+    core = MetricsRegistry()
+    live = caps.registry if caps.registry is not None else MetricsRegistry()
+    probes = []
     recorder = None
+    if caps.flight:
+        from repro.trace.flight import FlightRecorder
+
+        recorder = FlightRecorder(metrics=live)
+        probes.append(recorder)
+    congestion = None
+    if caps.congestion:
+        from repro.congestion.recorder import CongestionRecorder
+
+        # congestion.* metrics flow only into a caller-supplied
+        # registry (the monitor's Prometheus path).
+        congestion = CongestionRecorder(metrics=caps.registry)
+        probes.append(congestion)
+    random.seed(spec.derived_seed())
     profiler = None
-    congestion_recorder = None
     sims: list = []
     hook = add_new_sim_hook(sims.append)
     try:
         with ExitStack() as stack:
-            stack.enter_context(use_registry(registry))
-            if flight:
-                from repro.trace.flight import FlightRecorder, use_flight
-
-                recorder = FlightRecorder(metrics=registry)
-                stack.enter_context(use_flight(recorder))
-            if congestion:
-                from repro.congestion.recorder import (
-                    CongestionRecorder,
-                    use_congestion,
-                )
-
-                # congestion.* metrics flow only into a caller-supplied
-                # registry (the monitor's Prometheus path); the
-                # run-owned registry serializes into the cacheable
-                # snapshot, which must stay byte-identical with the
-                # X-ray on or off.
-                congestion_recorder = CongestionRecorder(
-                    metrics=None if own_registry else registry
-                )
-                stack.enter_context(use_congestion(congestion_recorder))
-            if profile:
+            stack.enter_context(use_registry(core))
+            stack.enter_context(use_probes(*probes, only=True))
+            if caps.profile:
                 from repro.profile.profiler import use_profiling
 
                 profiler = stack.enter_context(use_profiling())
@@ -319,6 +282,7 @@ def run_experiment(
             f"experiment {spec.experiment!r} returned {type(outcome)}, "
             "expected Outcome"
         )
+    live.merge(core)
     from repro.profile.telemetry import peak_rss_bytes
 
     events_executed = sum(sim.events_executed for sim in sims)
@@ -334,12 +298,12 @@ def run_experiment(
         elapsed_ns=float(outcome.elapsed_ns),
         description=outcome.description,
         measurements=tuple(outcome.measurements),
-        metrics=registry.snapshot() if own_registry else {},
-        registry=registry,
+        metrics=core.snapshot(),
+        registry=live,
         flight=recorder,
         meta=meta,
         profile=profiler,
-        congestion=congestion_recorder,
+        congestion=congestion,
     )
 
 

@@ -1,16 +1,13 @@
 """The one way to name and parameterize a run: :class:`ExperimentSpec`.
 
-Before the runner subsystem existed, every entry point kept its own
-string-to-function table (``repro.trace.capture._RUNNERS``, the
-monitor CLI's copy with ``mdstep`` bolted on, the ``__main__`` elif
-chain).  This module replaces them with a single registry:
+Every entry point names its runs through a single registry:
 
 * :class:`ExperimentSpec` — a frozen, hashable description of one run
   (experiment name, machine shape, rounds, payload, seed, optional hop
   count, plus experiment-specific ``extras``).  Its canonical JSON form
   is the identity used by the result cache and the sweep checkpoints.
 * :func:`register_experiment` — decorator that publishes a runner
-  function ``(spec) -> Outcome`` under a name.  ``repro.trace.capture``,
+  function ``(spec) -> Outcome`` under a name.  The CLI,
   ``repro.monitor.capture``, the bench quick suite, and ``python -m
   repro sweep`` all dispatch through :func:`get_experiment`.
 

@@ -584,7 +584,7 @@ def run_sweep(
     out_dir: Optional[str] = None,
     resume: bool = False,
     registry: Optional[MetricsRegistry] = None,
-    run_registry: Optional[MetricsRegistry] = None,
+    captures: Optional[Captures] = None,
     progress: Optional[Callable[[SweepPoint], None]] = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -599,10 +599,11 @@ def run_sweep(
     unchanged points hits; ``out_dir`` checkpoints each completed
     point and, with ``resume=True``, skips points a previous partial
     sweep already finished.  ``registry`` (default: the ambient one)
-    receives ``sweep.*`` progress counters; ``run_registry`` lets a
-    serial caller accumulate per-run metrics into a shared registry
-    (the CLI's ``--metrics``).  ``progress`` is invoked once per point
-    as it settles, in settlement order.
+    receives ``sweep.*`` progress counters; ``captures`` attaches
+    observers to every run a serial sweep computes in-process (the
+    CLI's ``--metrics`` accumulates them into one shared registry).
+    ``progress`` is invoked once per point as it settles, in
+    settlement order.
 
     ``timeout_s`` and/or ``retries`` switch computation to the guarded
     scheduler (one killable subprocess per point): a point that runs
@@ -749,9 +750,7 @@ def run_sweep(
             emit("started", point.index, spec=point.spec.label())
             point.attempts = 1
             try:
-                point.result = run_experiment(
-                    point.spec, Captures(registry=run_registry)
-                )
+                point.result = run_experiment(point.spec, captures)
             except Exception as exc:  # noqa: BLE001 — reported, not hidden
                 point.error = f"{type(exc).__name__}: {exc}"
             settle(point)

@@ -10,9 +10,10 @@ is the model's equivalent — a full telemetry layer:
 * :class:`~repro.trace.flight.FlightRecorder` is the network-side
   flight recorder: every packet's causal spans (inject → per-hop
   queue-wait → link occupancy → deliver) plus per-link queue-depth
-  time series.  Networks pick it up from the ambient context
-  (:func:`~repro.trace.flight.use_flight`) or an explicit ``flight=``
-  argument; the default is the zero-cost null recorder;
+  time series.  It is a :class:`~repro.network.probe.Probe`: a run
+  asks for it with ``run_experiment(spec, Captures(flight=True))``,
+  and a harness that builds its own machine attaches it ambiently
+  with :func:`~repro.network.probe.use_probes`;
 * :class:`~repro.trace.metrics.MetricsRegistry` names counters, gauges
   and ns-scale latency histograms with p50/p90/p99 queries, attachable
   to any :class:`~repro.engine.simulator.Simulator` or installed
@@ -23,10 +24,7 @@ is the model's equivalent — a full telemetry layer:
   across runs;
 * :mod:`repro.trace.stats` derives the critical-path communication
   accounting of Table 3, and :mod:`repro.trace.timeline` renders the
-  Fig. 13 style activity timeline as text/CSV;
-* :mod:`repro.trace.capture` (imported lazily — it pulls in the
-  analysis stack) drives a named experiment with telemetry attached;
-  it backs ``python -m repro trace <experiment>``.
+  Fig. 13 style activity timeline as text/CSV.
 """
 
 from repro.trace.recorder import Activity, ActivityKind, ActivityRecorder
@@ -46,16 +44,12 @@ from repro.trace.metrics import (
 )
 from repro.trace.sketch import QuantileSketch
 from repro.trace.flight import (
-    NULL_FLIGHT,
     Delivery,
     FlightRecorder,
     HopRecord,
-    NullFlightRecorder,
     PacketFlight,
     PhaseSpan,
     PollRecord,
-    active_flight,
-    use_flight,
 )
 from repro.trace.export import (
     chrome_trace,
@@ -78,13 +72,10 @@ __all__ = [
     "Histogram",
     "HopRecord",
     "MetricsRegistry",
-    "NULL_FLIGHT",
-    "NullFlightRecorder",
     "PacketFlight",
     "PhaseSpan",
     "PollRecord",
     "QuantileSketch",
-    "active_flight",
     "active_registry",
     "chrome_trace",
     "communication_split",
@@ -94,7 +85,6 @@ __all__ = [
     "per_node_communication_split",
     "render_timeline",
     "timeline_csv",
-    "use_flight",
     "use_registry",
     "write_chrome_trace",
     "write_jsonl",

@@ -16,11 +16,10 @@ never schedules events, so an instrumented run is simulation-identical
 to an uninstrumented one (verified by the test suite and by
 ``benchmarks/bench_trace_overhead.py``).
 
-Zero cost when disabled: the network's default recorder is the
-module-level :data:`NULL_FLIGHT` singleton whose ``enabled`` flag is
-``False``; the transport hot path guards every hook behind that flag,
-so a run without telemetry pays one attribute load and boolean test
-per hook site and allocates nothing.
+The recorder is a :class:`~repro.network.probe.Probe`: a network
+attaches it through its ``probes`` tuple (explicitly, or ambiently with
+:func:`~repro.network.probe.use_probes`), and a network without probes
+pays one truth test per hook site and allocates nothing.
 
 Exporters for the recorded data (Chrome/Perfetto ``trace_event`` JSON,
 JSONL, text summary) live in :mod:`repro.trace.export`.
@@ -30,9 +29,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
+
+from repro.network.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.link import TorusLink
@@ -173,66 +173,7 @@ class PacketFlight:
         return sum(h.wait_ns for h in self.hops)
 
 
-class NullFlightRecorder:
-    """The do-nothing recorder guarding the disabled fast path.
-
-    The transport checks ``recorder.enabled`` before calling any hook,
-    so these methods exist only as a safety net for direct callers.
-    """
-
-    enabled = False
-    metrics: "Optional[MetricsRegistry]" = None
-
-    def packet_injected(self, packet: "Packet", now: float) -> None:
-        pass
-
-    def hop_enqueued(self, packet: "Packet", link: "TorusLink", now: float) -> None:
-        pass
-
-    def hop_granted(
-        self, packet: "Packet", link: "TorusLink", start: float,
-        hold: float = 0.0,
-    ) -> None:
-        pass
-
-    def hop_fault(
-        self, packet: "Packet", link: "TorusLink", retry_ns: float, retries: int
-    ) -> None:
-        pass
-
-    def packet_delivered(
-        self, packet: "Packet", node: tuple, client: str, now: float
-    ) -> None:
-        pass
-
-    def software_send(
-        self, packet: "Packet", begin_ns: float, end_ns: float
-    ) -> None:
-        pass
-
-    def poll_completed(
-        self,
-        node: tuple,
-        client: str,
-        counter_id: str,
-        target: int,
-        trigger_ns: float,
-        done_ns: float,
-    ) -> None:
-        pass
-
-    def phase_begin(self, name: str, now: float) -> None:
-        pass
-
-    def phase_end(self, name: str, now: float) -> None:
-        pass
-
-
-#: Shared default recorder for every uninstrumented network.
-NULL_FLIGHT = NullFlightRecorder()
-
-
-class FlightRecorder:
+class FlightRecorder(Probe):
     """Records per-packet causal spans and per-link congestion series.
 
     Parameters
@@ -249,7 +190,6 @@ class FlightRecorder:
     """
 
     def __init__(self, metrics: "Optional[MetricsRegistry]" = None) -> None:
-        self.enabled = True
         self.metrics = metrics
         #: packet_id → flight, in injection order.
         self.flights: dict[int, PacketFlight] = {}
@@ -578,30 +518,3 @@ def sample_grants(due: deque[float], until: float) -> Iterator[tuple[float, int]
     """
     while due and due[0] <= until:
         yield due.popleft(), len(due)
-
-
-# ---------------------------------------------------------------------------
-# Ambient recorder
-# ---------------------------------------------------------------------------
-#: Recorder picked up by every Network constructed while it is active.
-#: The measurement harnesses in repro.analysis build their machines
-#: internally; the ambient recorder instruments them without threading
-#: a parameter through every call signature.
-_active_flight: "FlightRecorder | NullFlightRecorder" = NULL_FLIGHT
-
-
-def active_flight() -> "FlightRecorder | NullFlightRecorder":
-    """The recorder new networks attach at construction time."""
-    return _active_flight
-
-
-@contextmanager
-def use_flight(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Install ``recorder`` as the ambient flight recorder for the block."""
-    global _active_flight
-    prev = _active_flight
-    _active_flight = recorder
-    try:
-        yield recorder
-    finally:
-        _active_flight = prev

@@ -376,6 +376,21 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._metrics.clear()
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold the counters and exact histograms of ``other`` into
+        this registry as if their updates had been made here: counters
+        add, histograms replay their observations in order."""
+        for name in other.names():
+            m = other.get(name)
+            if isinstance(m, Counter):
+                self.counter(name, m.help).inc(m.value)
+            elif isinstance(m, Histogram) and not m.overflowed:
+                hist = self.histogram(name, m.help)
+                for value in m.values():
+                    hist.observe(value)
+            else:
+                raise TypeError(f"cannot replay {m.kind} {name!r}")
+
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> dict[str, dict]:
         """Plain-data dump of every metric, sorted by name."""

@@ -19,8 +19,9 @@ from repro.asic import build_machine
 from repro.bench.results import canonical_json
 from repro.comm.collectives import AllReduce
 from repro.congestion.decompose import DelayBucket, decompose_run
-from repro.congestion.recorder import use_congestion
+from repro.congestion.recorder import CongestionRecorder
 from repro.engine import Simulator
+from repro.network.probe import use_probes
 from repro.runner.result import Captures, run_experiment
 from repro.runner.spec import ExperimentSpec, ensure_registered
 from repro.topology.torus import Torus3D
@@ -52,13 +53,13 @@ def test_instrumented_exchange_bit_identical(dst, payload):
     results = []
     for instrumented in (False, True):
         if instrumented:
-            with use_congestion() as recorder:
+            with use_probes(CongestionRecorder()) as (recorder,):
                 sim = Simulator()
                 machine = build_machine(sim, 3, 3, 3)
                 src = machine.node((0, 0, 0)).slice(0)
                 rcv = machine.node(dst).slice(1 if dst == (0, 0, 0) else 0)
                 elapsed = run_exchange(sim, src, rcv, payload_bytes=payload)
-            assert recorder.enabled
+            assert machine.network.probes == (recorder,)
         else:
             sim = Simulator()
             machine = build_machine(sim, 3, 3, 3)
@@ -74,12 +75,12 @@ def test_instrumented_exchange_bit_identical(dst, payload):
 @settings(max_examples=10, deadline=None)
 def test_instrumented_allreduce_bit_identical(shape, payload_bytes):
     """A full collective stays bit-identical through the ambient
-    ``use_congestion()`` entry point (the network picks the recorder
-    up at construction)."""
+    ``use_probes()`` entry point (the network picks the recorder up at
+    construction)."""
     results = []
     for instrumented in (False, True):
         if instrumented:
-            with use_congestion() as recorder:
+            with use_probes(CongestionRecorder()) as (recorder,):
                 sim = Simulator()
                 machine = build_machine(sim, *shape)
                 report = AllReduce(machine, payload_bytes=payload_bytes).run()

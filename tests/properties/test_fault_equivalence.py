@@ -77,15 +77,16 @@ class TestEmptyPlanIsInert:
 class TestExportedTracesUnperturbed:
     def _trace_bytes(self, tmp_path, tag, session):
         from repro.trace.export import write_chrome_trace, write_jsonl
-        from repro.trace.flight import FlightRecorder, use_flight
+        from repro.network.probe import use_probes
+        from repro.trace.flight import FlightRecorder
 
         sim = Simulator()
         fl = FlightRecorder()
         if session is not None:
-            with use_flight(fl), use_faults(session):
+            with use_probes(fl), use_faults(session):
                 m = build_machine(sim, 2, 2, 2)
         else:
-            with use_flight(fl):
+            with use_probes(fl):
                 m = build_machine(sim, 2, 2, 2)
         run_exchange(sim, m.node((0, 0, 0)).slice(0),
                      m.node((1, 1, 0)).slice(0), payload_bytes=256)

@@ -123,7 +123,7 @@ def test_cli_breakdown(capsys):
 def test_cli_allreduce(capsys):
     from repro.__main__ import main
 
-    assert main(["allreduce", "2x2x2"]) == 0
+    assert main(["allreduce", "--shape", "2x2x2"]) == 0
     assert "8 (2x2x2)" in capsys.readouterr().out
 
 

@@ -112,11 +112,12 @@ class TestContention:
     def test_queue_wait_is_attributed(self):
         from repro.asic import build_machine
         from repro.engine import Simulator
-        from repro.trace.flight import FlightRecorder, use_flight
+        from repro.network.probe import use_probes
+        from repro.trace.flight import FlightRecorder
 
         sim = Simulator()
         fl = FlightRecorder()
-        with use_flight(fl):
+        with use_probes(fl):
             machine = build_machine(sim, 2, 2, 2)
         dst = machine.node((1, 0, 0)).slice(0)
         dst.memory.allocate("rx", 2)

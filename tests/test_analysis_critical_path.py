@@ -19,14 +19,15 @@ from repro.engine import Simulator
 from repro.engine.simulator import EventHistory
 from repro.network.multicast import compile_pattern
 from repro.network.packet import WritePacket
-from repro.trace.flight import FlightRecorder, use_flight
+from repro.network.probe import use_probes
+from repro.trace.flight import FlightRecorder
 from repro.trace.metrics import MetricsRegistry
 
 
 def traced_machine(shape=(2, 2, 2)):
     sim = Simulator()
     fl = FlightRecorder()
-    with use_flight(fl):
+    with use_probes(fl):
         machine = build_machine(sim, *shape)
     return sim, machine, fl
 

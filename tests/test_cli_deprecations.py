@@ -1,10 +1,9 @@
-"""Tests for the deprecated CLI aliases and their removal notices.
+"""Tests for the removed CLI spellings.
 
-The two hidden aliases kept for compatibility — ``--payload-bytes``
-(canonical: ``--payload``) and positional all-reduce shapes (canonical:
-repeatable ``--shape``) — must parse identically to their replacements
-while raising a :class:`DeprecationWarning` that names the replacement
-and announces removal.
+The two old spellings — ``--payload-bytes`` (canonical: ``--payload``)
+and positional all-reduce shapes (canonical: repeatable ``--shape``)
+served one deprecation cycle and are gone: argparse rejects them with
+its usual usage error (exit status 2).
 """
 
 import argparse
@@ -20,23 +19,11 @@ def _parse(argv):
 
 
 class TestPayloadBytesAlias:
-    def test_warns_with_removal_notice(self, capsys):
-        with pytest.warns(DeprecationWarning) as caught:
+    def test_old_spelling_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             _parse(["--payload-bytes", "64"])
-        [w] = caught
-        msg = str(w.message)
-        assert "--payload-bytes is deprecated" in msg
-        assert "will be removed" in msg
-        assert "use --payload instead" in msg
-        # CLI users see the same notice on stderr (DeprecationWarnings
-        # are hidden by default outside __main__).
-        assert "--payload-bytes is deprecated" in capsys.readouterr().err
-
-    def test_parses_identically_to_canonical(self):
-        with pytest.warns(DeprecationWarning):
-            old = _parse(["--payload-bytes", "64"])
-        new = _parse(["--payload", "64"])
-        assert old.payload == new.payload == 64
+        assert exc.value.code == 2
+        assert "--payload-bytes" in capsys.readouterr().err
 
     def test_canonical_spelling_is_silent(self, recwarn):
         ns = _parse(["--payload", "32"])
@@ -45,18 +32,11 @@ class TestPayloadBytesAlias:
 
 
 class TestAllreducePositionalShapes:
-    def test_warns_and_matches_flag_spelling(self, capsys):
-        with pytest.warns(DeprecationWarning) as caught:
-            assert main(["allreduce", "2x2x2"]) == 0
-        old_out = capsys.readouterr().out
-        assert any(
-            "shapes is deprecated" in str(w.message)
-            and "use --shape instead" in str(w.message)
-            for w in caught
-        )
-        assert main(["allreduce", "--shape", "2x2x2"]) == 0
-        new_out = capsys.readouterr().out
-        assert old_out == new_out  # identical parse ⇒ identical run
+    def test_positional_shape_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["allreduce", "2x2x2"])
+        assert exc.value.code == 2
+        assert "2x2x2" in capsys.readouterr().err
 
     def test_parse_shape_rejects_garbage(self):
         with pytest.raises(argparse.ArgumentTypeError):

@@ -9,14 +9,7 @@ import pytest
 from tests.conftest import run_exchange
 
 from repro.asic import build_machine
-from repro.congestion import (
-    NULL_CONGESTION,
-    CongestionRecorder,
-    active_congestion,
-    direction_label,
-    use_congestion,
-)
-from repro.congestion.capture import run_congested
+from repro.congestion import CongestionRecorder, direction_label
 from repro.congestion.decompose import (
     DelayBucket,
     decompose_run,
@@ -40,7 +33,14 @@ from repro.congestion.tree import (
 )
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
+from repro.network.probe import active_probes, use_probes
+from repro.runner import Captures, ExperimentSpec, run_experiment
 from repro.topology.torus import Torus3D
+
+
+def _congested(experiment, senders, **fields):
+    spec = ExperimentSpec(experiment, **fields).with_extras(senders=senders)
+    return run_experiment(spec, Captures(flight=True, congestion=True))
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def incast():
     through the destination's z links; z+ and z- tie exactly and the
     deterministic direction order ranks z+ first.
     """
-    result = run_congested(
+    result = _congested(
         "congestion", shape=(3, 3, 3), rounds=1, payload=0, seed=0,
         senders=26,
     )
@@ -64,26 +64,24 @@ def incast():
 # ---------------------------------------------------------------------------
 class TestRecorder:
     def test_null_recorder_is_disabled_default(self):
-        assert NULL_CONGESTION.enabled is False
-        assert active_congestion() is NULL_CONGESTION
+        assert active_probes() == ()
         sim = Simulator()
         machine = build_machine(sim, 2, 2, 2)
-        assert machine.network.congestion is NULL_CONGESTION
+        assert machine.network.probes == ()
 
     def test_ambient_recorder_attaches_and_restores(self):
-        with use_congestion() as recorder:
-            assert active_congestion() is recorder
-            assert recorder.enabled
+        with use_probes(CongestionRecorder()) as (recorder,):
+            assert active_probes() == (recorder,)
             machine = build_machine(Simulator(), 2, 2, 2)
-            assert machine.network.congestion is recorder
-        assert active_congestion() is NULL_CONGESTION
+            assert machine.network.probes == (recorder,)
+        assert active_probes() == ()
 
     def test_direction_label(self):
         assert direction_label("z", 1) == "z+"
         assert direction_label("x", -1) == "x-"
 
     def test_uncontended_exchange_records_grants_no_waits(self):
-        with use_congestion() as recorder:
+        with use_probes(CongestionRecorder()) as (recorder,):
             sim = Simulator()
             machine = build_machine(sim, 3, 3, 3)
             run_exchange(sim, machine.node((0, 0, 0)).slice(0),
@@ -117,7 +115,7 @@ class TestRecorder:
         result, _ = incast
         # Drive it by hand through another tiny run instead of
         # mutating the shared fixture recorder.
-        with use_congestion(recorder):
+        with use_probes(recorder):
             sim = Simulator()
             machine = build_machine(sim, 2, 2, 2)
             run_exchange(sim, machine.node(0).slice(0),
@@ -130,7 +128,7 @@ class TestRecorder:
 
     def test_ring_buffers_bound_memory(self):
         recorder = CongestionRecorder(series_capacity=4)
-        with use_congestion(recorder):
+        with use_probes(recorder):
             sim = Simulator()
             machine = build_machine(sim, 2, 2, 2)
             for i in range(8):
@@ -146,7 +144,7 @@ class TestRecorder:
 
         registry = MetricsRegistry()
         recorder = CongestionRecorder(metrics=registry)
-        with use_congestion(recorder):
+        with use_probes(recorder):
             sim = Simulator()
             machine = build_machine(sim, 3, 3, 3)
             senders = [n for n in machine if n.coord != (0, 0, 0)][:6]
@@ -247,7 +245,7 @@ class TestCongestionTree:
 
     def test_uncontended_run_yields_empty_tree(self):
         # A single-sender "incast" is just one uncontended write.
-        result = run_congested("congestion", shape=(3, 3, 3), rounds=1,
+        result = _congested("congestion", shape=(3, 3, 3), rounds=1,
                                senders=1)
         tree = build_congestion_tree(result.flight, Torus3D(3, 3, 3))
         assert tree.links == []

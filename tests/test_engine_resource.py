@@ -58,18 +58,6 @@ def test_try_acquire_fast_path(sim):
     assert r.try_acquire()
 
 
-def test_utilization_accounting(sim):
-    r = Resource(sim, capacity=1)
-
-    def worker():
-        yield from r.use(30.0)
-        yield sim.timeout(70.0)
-
-    sim.process(worker())
-    sim.run()
-    assert r.utilization() == pytest.approx(0.3)
-
-
 def test_store_fifo_order(sim):
     s = Store(sim)
     s.put(1)

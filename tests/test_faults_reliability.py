@@ -351,11 +351,12 @@ class TestRetryAttribution:
 
 class TestFlightRecorderIntegration:
     def test_hop_records_carry_retry_cost(self):
-        from repro.trace.flight import FlightRecorder, use_flight
+        from repro.network.probe import use_probes
+        from repro.trace.flight import FlightRecorder
 
         sim = Simulator()
         fl = FlightRecorder()
-        with use_flight(fl), use_faults(FaultSession(forced_plan(2))):
+        with use_probes(fl), use_faults(FaultSession(forced_plan(2))):
             m = build_machine(sim, 4, 4, 4)
         src = m.node((0, 0, 0)).slice(0)
         dst = m.node((1, 0, 0)).slice(0)

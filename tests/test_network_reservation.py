@@ -15,15 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asic import build_machine
-from repro.congestion.recorder import CongestionRecorder, use_congestion
+from repro.congestion.recorder import CongestionRecorder
 from repro.engine import Simulator
 from repro.faults.plan import Degradation, FaultPlan
 from repro.faults.session import FaultSession, use_faults
 from repro.network.link import LinkId, TorusLink
 from repro.network.network import Network
 from repro.network.packet import WritePacket
+from repro.network.probe import use_probes
 from repro.topology.torus import Torus3D
-from repro.trace.flight import FlightRecorder, use_flight
+from repro.trace.flight import FlightRecorder
 from tests.conftest import run_exchange
 
 
@@ -190,7 +191,7 @@ def test_same_instant_arrivals_are_served_in_request_order_of_their_previous_hop
     sim = Simulator()
     flight = FlightRecorder()
     torus = Torus3D(5, 5, 1)
-    net = Network(sim, torus, flight=flight)
+    net = Network(sim, torus, probes=(flight,))
     for node in ((1, 0, 0), (1, 1, 0)):
         net.attach(_Sink(torus.coord(node)))
 
@@ -232,8 +233,7 @@ def test_degraded_bandwidth_hold_is_what_observers_see():
     flight = FlightRecorder()
     congestion = CongestionRecorder()
     plan = FaultPlan(degradations=(Degradation(bandwidth_factor=4.0),))
-    with use_flight(flight), use_congestion(congestion), \
-            use_faults(FaultSession(plan)):
+    with use_probes(flight, congestion), use_faults(FaultSession(plan)):
         m = build_machine(sim, 2, 1, 1)
     run_exchange(sim, m.node((0, 0, 0)).slice(0), m.node((1, 0, 0)).slice(0),
                  payload_bytes=256)

@@ -71,10 +71,16 @@ class TestAlignment:
         assert new.base_events == 0
 
     def test_native_captures_have_zero_residual(self):
-        from repro.profile.capture import run_profiled
+        from repro.runner import Captures, ExperimentSpec, run_experiment
 
-        a = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
-        b = run_profiled("selftest", shape=(2, 2, 2), rounds=2)
+        a = run_experiment(
+            ExperimentSpec("selftest", shape=(2, 2, 2), rounds=1),
+            Captures(profile=True),
+        )
+        b = run_experiment(
+            ExperimentSpec("selftest", shape=(2, 2, 2), rounds=2),
+            Captures(profile=True),
+        )
         diff = diff_profiles(a.profile.wall_profile(),
                              b.profile.wall_profile())
         assert diff.residual_ns == 0
@@ -149,9 +155,12 @@ class TestTilingProperty:
 
 class TestSpeedscopeRoundtrip:
     def test_reconstruction_preserves_wall_cells(self):
-        from repro.profile.capture import run_profiled
+        from repro.runner import Captures, ExperimentSpec, run_experiment
 
-        result = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
+        result = run_experiment(
+            ExperimentSpec("selftest", shape=(2, 2, 2), rounds=1),
+            Captures(profile=True),
+        )
         native = result.profile.wall_profile()
         rebuilt = wall_profile_from_speedscope(
             to_speedscope(result.profile)
@@ -181,9 +190,12 @@ class TestSpeedscopeRoundtrip:
 
     @pytest.mark.parametrize("fmt", ["speedscope", "json"])
     def test_load_wall_profile_all_formats(self, tmp_path, fmt):
-        from repro.profile.capture import run_profiled
+        from repro.runner import Captures, ExperimentSpec, run_experiment
 
-        result = run_profiled("selftest", shape=(2, 2, 2), rounds=1)
+        result = run_experiment(
+            ExperimentSpec("selftest", shape=(2, 2, 2), rounds=1),
+            Captures(profile=True),
+        )
         path = tmp_path / f"prof.{fmt}"
         with open(path, "w") as fh:
             write_profile(result.profile, fh, fmt=fmt)

@@ -206,13 +206,14 @@ class TestCongestionExposition:
 
     @pytest.fixture(scope="class")
     def incast_exposition(self):
-        from repro.congestion.capture import run_congested
         from repro.congestion.report import render_congestion_prometheus
         from repro.congestion.tree import build_congestion_tree
+        from repro.runner import Captures, ExperimentSpec, run_experiment
         from repro.topology.torus import Torus3D
 
-        result = run_congested(
-            "congestion", shape=(3, 3, 3), rounds=1, senders=26,
+        spec = ExperimentSpec("congestion", shape=(3, 3, 3), rounds=1)
+        result = run_experiment(
+            spec.with_extras(senders=26), Captures(flight=True, congestion=True)
         )
         tree = build_congestion_tree(result.flight, Torus3D(3, 3, 3))
         text = render_congestion_prometheus(tree, result.congestion)

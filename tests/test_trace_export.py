@@ -17,12 +17,21 @@ from repro.trace import (
     flight_summary,
     jsonl_lines,
 )
-from repro.trace.capture import EXPERIMENTS, run_traced
+from repro.runner import Captures, ExperimentSpec, run_experiment
+from repro.runner.spec import experiment_names
+
+EXPERIMENTS = experiment_names(traceable=True)
+
+
+def _traced(experiment, **fields):
+    return run_experiment(
+        ExperimentSpec(experiment, **fields), Captures(flight=True)
+    )
 
 
 @pytest.fixture(scope="module")
 def congestion_capture():
-    return run_traced("congestion", shape=(2, 2, 2))
+    return _traced("congestion", shape=(2, 2, 2))
 
 
 class TestChromeTrace:
@@ -83,7 +92,7 @@ class TestChromeTrace:
         assert metrics["net.packets_injected"]["value"] == len(cap.flight)
 
     def test_activity_recorder_exported_as_units_process(self):
-        cap = run_traced("congestion", shape=(2, 2, 2))
+        cap = _traced("congestion", shape=(2, 2, 2))
         sim = Simulator()
         rec = ActivityRecorder(sim)
         rec.record("n0:ts0", ActivityKind.COMPUTE, 0.0, 50.0, "force")
@@ -98,15 +107,15 @@ class TestDeterminism:
     def test_identical_runs_export_identical_bytes(self):
         """Two captures of the same experiment in one process differ in
         global packet ids and counter tags; the export must not."""
-        a = run_traced("congestion", shape=(2, 2, 2))
-        b = run_traced("congestion", shape=(2, 2, 2))
+        a = _traced("congestion", shape=(2, 2, 2))
+        b = _traced("congestion", shape=(2, 2, 2))
         assert dumps_chrome_trace(a.flight, metrics=a.registry) == \
             dumps_chrome_trace(b.flight, metrics=b.registry)
         assert list(jsonl_lines(a.flight)) == list(jsonl_lines(b.flight))
 
     def test_latency_experiment_also_deterministic(self):
-        a = run_traced("latency", shape=(2, 2, 2), rounds=1)
-        b = run_traced("latency", shape=(2, 2, 2), rounds=1)
+        a = _traced("latency", shape=(2, 2, 2), rounds=1)
+        b = _traced("latency", shape=(2, 2, 2), rounds=1)
         assert dumps_chrome_trace(a.flight) == dumps_chrome_trace(b.flight)
 
 
@@ -134,11 +143,11 @@ class TestSummary:
 class TestCaptureHarness:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            run_traced("nope")
+            _traced("nope")
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_experiment_records_flights(self, experiment):
-        cap = run_traced(experiment, shape=(2, 2, 2), rounds=1)
+        cap = _traced(experiment, shape=(2, 2, 2), rounds=1)
         assert len(cap.flight) > 0
         assert cap.registry.counter("net.packets_injected").value == \
             len(cap.flight)

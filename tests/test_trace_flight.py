@@ -8,34 +8,28 @@ from repro.asic import build_machine
 from repro.engine import Simulator
 from repro.network.multicast import compile_pattern
 from repro.network.packet import WritePacket
-from repro.trace.flight import (
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-    active_flight,
-    use_flight,
-)
+from repro.network.probe import Probe, active_probes, use_probes
+from repro.trace.flight import FlightRecorder
 from repro.trace.metrics import MetricsRegistry
 
 
 def traced_machine(shape=(2, 2, 2)):
     sim = Simulator()
     fl = FlightRecorder(metrics=MetricsRegistry())
-    with use_flight(fl):
+    with use_probes(fl):
         machine = build_machine(sim, *shape)
     return sim, machine, fl
 
 
 class TestAttachment:
     def test_default_network_uses_null_recorder(self, machine222):
-        assert machine222.network.flight is NULL_FLIGHT
-        assert machine222.network.flight.enabled is False
+        assert machine222.network.probes == ()
 
     def test_ambient_recorder_picked_up_at_construction(self):
         sim, machine, fl = traced_machine()
-        assert machine.network.flight is fl
-        # The context exited; new networks go back to the null recorder.
-        assert active_flight() is NULL_FLIGHT
+        assert machine.network.probes == (fl,)
+        # The context exited; new networks go back to no probes.
+        assert active_probes() == ()
 
     def test_explicit_flight_argument(self):
         from repro.network.network import Network
@@ -43,8 +37,8 @@ class TestAttachment:
 
         sim = Simulator()
         fl = FlightRecorder()
-        net = Network(sim, Torus3D(2, 2, 2), flight=fl)
-        assert net.flight is fl
+        net = Network(sim, Torus3D(2, 2, 2), probes=[fl])
+        assert net.probes == (fl,)
 
 
 class TestUnicastSpans:
@@ -236,7 +230,7 @@ class TestNonPerturbation:
             sim = Simulator()
             if traced:
                 fl = FlightRecorder()
-                with use_flight(fl):
+                with use_probes(fl):
                     machine = build_machine(sim, 2, 2, 2)
             else:
                 machine = build_machine(sim, 2, 2, 2)
@@ -251,15 +245,15 @@ class TestNonPerturbation:
         src = machine.node((0, 0, 0)).slice(0)
         dst = machine.node((1, 0, 0)).slice(0)
         run_exchange(sim, src, dst)
-        fl.enabled = False
+        machine.network.probes = ()
         run_exchange(sim, src, dst, counter="c2")
         assert len(fl) == 1
 
     def test_null_recorder_hooks_are_noops(self):
-        null = NullFlightRecorder()
+        null = Probe()
         null.packet_injected(None, 0.0)
         null.hop_enqueued(None, None, 0.0)
-        null.hop_granted(None, None, 0.0)
+        null.hop_granted(None, None, 0.0, 0.0)
         null.packet_delivered(None, (0, 0, 0), "slice0", 0.0)
 
     def test_clear(self):
