@@ -649,42 +649,81 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0 if cmp is None or cmp.ok else 1
 
 
-def _run_monitor(args: argparse.Namespace) -> int:
-    from repro.monitor.capture import run_monitored
+#: Histogram cap for monitored runs: beyond this many observations a
+#: histogram falls back to its streaming sketch (1% relative error).
+MONITOR_HISTOGRAM_CAP = 4096
 
-    cap = run_monitored(
-        args.experiment,
-        shape=args.shape,
-        rounds=args.rounds,
+
+def _run_monitor(args: argparse.Namespace) -> int:
+    from repro.monitor.health import use_monitoring
+    from repro.monitor.report import render_html_report, render_prometheus
+    from repro.runner import Captures, run_experiment
+    from repro.runner.spec import get_experiment
+    from repro.trace.metrics import MetricsRegistry
+
+    spec = _spec(args)
+    # The flight recorder feeds the per-packet latency histograms the
+    # sketch-vs-exact table compares; mdstep is not traceable, its
+    # per-packet record would dwarf the run.
+    traceable = get_experiment(spec).traceable
+    metrics = MetricsRegistry(histogram_max_samples=MONITOR_HISTOGRAM_CAP)
+    with use_monitoring(
         interval_ns=args.interval,
         series_capacity=args.capacity,
         stall_ns=args.stall,
-        payload=args.payload,
-        seed=args.seed,
-    )
-    print(f"monitored {args.experiment}: {cap.description}")
-    if len(cap.monitors) > 1:
+        registry=metrics,
+    ) as session:
+        result = run_experiment(
+            spec, Captures(flight=traceable, registry=metrics)
+        )
+    if not session.monitors:
+        raise RuntimeError(
+            f"experiment {args.experiment!r} built no machines to monitor"
+        )
+    verdicts = session.finalize()
+    # Sweep experiments build several machines: report the busiest,
+    # fail on any.
+    monitor = max(session.monitors, key=lambda m: (m.sim.now, m.sampler.ticks))
+    verdict = verdicts[session.monitors.index(monitor)]
+    print(f"monitored {args.experiment}: {result.description}")
+    if len(session.monitors) > 1:
         print(
-            f"({len(cap.monitors)} machines monitored; verdict below is "
+            f"({len(session.monitors)} machines monitored; verdict below is "
             "the busiest — any machine's violation fails the run)"
         )
     print()
-    print(cap.verdict.render_text())
+    print(verdict.render_text())
     if args.jsonl:
-        cap.write_jsonl(args.jsonl)
+        monitor.log.write_jsonl(args.jsonl)
         print(f"\nwrote {args.jsonl} (diagnostics, one JSON record per line)")
     if args.command == "report" or args.html:
+        congestion = None
+        if result.flight is not None:
+            from repro.congestion.tree import build_congestion_tree
+            from repro.topology.torus import Torus3D
+
+            congestion = build_congestion_tree(
+                result.flight, Torus3D(*spec.shape)
+            )
         out = args.html or "report.html"
         with open(out, "w") as fh:
-            fh.write(cap.html(
-                title=f"Continuous health report: {args.experiment}"
+            fh.write(render_html_report(
+                verdict,
+                monitor.sampler,
+                spec.shape,
+                registry=metrics,
+                title=f"Continuous health report: {args.experiment}",
+                experiment=f"{args.experiment} — {result.description}",
+                congestion=congestion,
             ))
         print(f"wrote {out} (self-contained HTML health report)")
     if args.prom:
         with open(args.prom, "w") as fh:
-            fh.write(cap.prometheus())
+            fh.write(render_prometheus(
+                verdict, monitor.sampler, registry=metrics
+            ))
         print(f"wrote {args.prom} (Prometheus text exposition)")
-    if not cap.healthy:
+    if not all(v.healthy for v in verdicts):
         print("\nHEALTH CHECK FAILED: at least one invariant was violated")
         return 1
     return 0
@@ -1117,10 +1156,6 @@ def main(argv: list[str] | None = None) -> int:
     p_be.add_argument("--only", nargs="*", choices=SUITE_BENCHMARKS,
                       default=None, help="restrict to these benchmarks")
 
-    from repro.monitor.capture import (
-        DEFAULT_HISTOGRAM_CAP,
-        MONITOR_EXPERIMENTS,
-    )
     from repro.monitor.health import DEFAULT_STALL_NS
     from repro.monitor.sampler import DEFAULT_INTERVAL_NS
 
@@ -1128,7 +1163,8 @@ def main(argv: list[str] | None = None) -> int:
         add_help=False, parents=[_canonical_parent()]
     )
     mon_common.add_argument(
-        "experiment", nargs="?", choices=MONITOR_EXPERIMENTS, default="mdstep"
+        "experiment", nargs="?", choices=experiment_names(monitorable=True),
+        default="mdstep",
     )
     mon_common.add_argument(
         "--interval", type=float, default=DEFAULT_INTERVAL_NS,
@@ -1152,7 +1188,7 @@ def main(argv: list[str] | None = None) -> int:
         "monitor", parents=[mon_common],
         help="run with continuous health monitoring; exit 1 on violation",
         description="Histograms created during the run are capped at "
-                    f"{DEFAULT_HISTOGRAM_CAP} samples and fall back to "
+                    f"{MONITOR_HISTOGRAM_CAP} samples and fall back to "
                     "streaming sketches (1% relative error).",
     )
     p_mon.add_argument("--html", default=None,

@@ -228,9 +228,7 @@ class AllReduce:
         phase = f"allreduce[{self.payload_bytes}B]#{self._runs + 1}"
         for probe in probes:
             probe.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = self.sim.profiler
         if prof is not None:
             prof.phase_begin("allreduce")
         try:
@@ -375,9 +373,7 @@ class ButterflyAllReduce:
         phase = f"butterfly[{self.payload_bytes}B]#{self._runs}"
         for probe in probes:
             probe.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = self.sim.profiler
         if prof is not None:
             prof.phase_begin("butterfly")
         try:

@@ -159,9 +159,7 @@ class MigrationProtocol:
         phase = f"migration#{self._runs + 1}"
         for probe in probes:
             probe.phase_begin(phase, start)
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = self.sim.profiler
         if prof is not None:
             prof.phase_begin("migration")
         try:

@@ -22,13 +22,20 @@ Design notes
 * :class:`Resource` provides FCFS mutual exclusion with optional
   capacity, used for torus links, processing-slice occupancy, and HTIS
   pipelines.
+* Observers reach the engine through one construction seam,
+  :func:`add_new_sim_hook` (called once per :class:`Simulator` built),
+  and two per-simulator slots with one user each: the monitor hook
+  (:meth:`Simulator.set_monitor_hook`, the health monitor's sampler
+  tick) and the public :attr:`Simulator.profiler` attribute (set by
+  :meth:`~repro.profile.profiler.EngineProfiler.attach`; the run loop
+  times events on it and the phase-marking call sites open their
+  phases on it).  Each costs one ``None`` test per event when unused.
 """
 
 from repro.engine.event import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.engine.process import Process
 from repro.engine.resource import Resource, Store
 from repro.engine.simulator import (
-    EventHistory,
     Simulator,
     add_new_sim_hook,
     remove_new_sim_hook,
@@ -38,7 +45,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "EventHistory",
     "Interrupt",
     "Process",
     "Resource",

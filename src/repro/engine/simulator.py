@@ -20,7 +20,6 @@ from repro.engine.process import Coroutine, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.profile.profiler import EngineProfiler
-    from repro.trace.metrics import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -59,61 +58,6 @@ def remove_new_sim_hook(hook: Callable[["Simulator"], None]) -> None:
         pass
 
 
-class EventHistory:
-    """Bounded record of executed engine events: ``(time, action name)``.
-
-    Installed on a simulator with :meth:`Simulator.set_event_hook` (or
-    the :meth:`install` convenience), it gives the critical-path
-    analyzer a view of *engine* activity — how many scheduled actions
-    fired inside a phase window, and where the event storm peaks —
-    without instrumenting any subsystem.  Recording is bounded so a
-    runaway simulation cannot exhaust memory; overflow is counted, not
-    silently dropped.
-    """
-
-    def __init__(self, capacity: int = 200_000) -> None:
-        self.capacity = capacity
-        self.samples: list[tuple[float, str]] = []
-        #: Events seen after the capacity was reached.  Analyses (and
-        #: the health verdict, which surfaces this as telemetry loss)
-        #: must treat a nonzero value as "the window is truncated",
-        #: not "the run had this many events".
-        self.dropped = 0
-
-    @property
-    def total_seen(self) -> int:
-        """Every event offered to the history, recorded or dropped."""
-        return len(self.samples) + self.dropped
-
-    def record(self, when: float, fn: Callable[..., None]) -> None:
-        if len(self.samples) < self.capacity:
-            name = getattr(fn, "__qualname__", None) or repr(fn)
-            self.samples.append((when, name))
-        else:
-            self.dropped += 1
-
-    def install(self, sim: "Simulator") -> "EventHistory":
-        sim.set_event_hook(self.record)
-        return self
-
-    def count_in(self, start_ns: float, end_ns: float) -> int:
-        """Events executed inside a time window (inclusive)."""
-        return sum(1 for t, _ in self.samples if start_ns <= t <= end_ns)
-
-    def density(self, bucket_ns: float) -> list[tuple[float, int]]:
-        """Events per fixed-width time bucket, sorted by bucket start."""
-        if bucket_ns <= 0:
-            raise ValueError(f"bucket_ns must be positive, got {bucket_ns}")
-        buckets: dict[float, int] = {}
-        for t, _ in self.samples:
-            start = (t // bucket_ns) * bucket_ns
-            buckets[start] = buckets.get(start, 0) + 1
-        return sorted(buckets.items())
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class Simulator:
     """Discrete-event simulator with nanosecond float time."""
 
@@ -127,15 +71,17 @@ class Simulator:
         self._crashes: list[tuple[Process, BaseException]] = []
         #: Events executed by :meth:`run` — the engine's own telemetry.
         self.events_executed: int = 0
-        #: Set by :meth:`repro.trace.metrics.MetricsRegistry.attach`.
-        self.metrics: "Optional[MetricsRegistry]" = None
-        #: Optional per-event observer, see :meth:`set_event_hook`.
-        self._event_hook: Optional[Callable[[float, Callable[..., None]], None]] = None
         #: Optional periodic observer, see :meth:`set_monitor_hook`.
         self._monitor_hook: Optional[Callable[[float], float]] = None
         self._monitor_due: float = 0.0
-        #: Optional engine self-profiler, see :meth:`set_profiler`.
-        self._profiler: "Optional[EngineProfiler]" = None
+        #: The engine self-profiler timing this simulator, or ``None``.
+        #: Set by :meth:`repro.profile.profiler.EngineProfiler.attach`;
+        #: :meth:`run` accounts every executed event to it (a passive
+        #: wall-clock observer: profiled runs are bit-identical), and
+        #: phase-marking call sites open their phases on it.  The run
+        #: loop reads it once per :meth:`run` call, so attach before
+        #: running.
+        self.profiler: "Optional[EngineProfiler]" = None
         if _NEW_SIM_HOOKS:
             for hook in list(_NEW_SIM_HOOKS):
                 hook(self)
@@ -200,21 +146,6 @@ class Simulator:
         self._crashes.append((process, error))
 
     # -- observation -------------------------------------------------------
-    def set_event_hook(
-        self, hook: Optional[Callable[[float, Callable[..., None]], None]]
-    ) -> Optional[Callable[[float, Callable[..., None]], None]]:
-        """Install an observer called as ``hook(when, fn)`` just before
-        each event executes; returns the previous hook.
-
-        The hook is passive telemetry (an :class:`EventHistory`, a
-        progress meter): it must not schedule events or mutate
-        simulation state, and the disabled fast path costs one ``None``
-        test per event.  Pass ``None`` to uninstall.
-        """
-        prev = self._event_hook
-        self._event_hook = hook
-        return prev
-
     def set_monitor_hook(
         self,
         hook: Optional[Callable[[float], float]],
@@ -242,25 +173,6 @@ class Simulator:
         prev = self._monitor_hook
         self._monitor_hook = hook
         self._monitor_due = due
-        return prev
-
-    def set_profiler(
-        self, profiler: "Optional[EngineProfiler]"
-    ) -> "Optional[EngineProfiler]":
-        """Install (or with ``None`` remove) the engine self-profiler.
-
-        While installed, :meth:`run` accounts the wall-clock cost and
-        count of every executed event to the profiler, classified by
-        event type, owning component, and open simulation phase.  The
-        profiler is a passive wall-clock observer — it never touches
-        simulated time, the queue, or sequence numbers, so profiled
-        runs are bit-identical to unprofiled ones.  Attach before
-        calling :meth:`run`; the run loop binds the profiler at entry.
-        The disabled fast path costs one ``None`` test per event.
-        Returns the previous profiler.
-        """
-        prev = self._profiler
-        self._profiler = profiler
         return prev
 
     @property
@@ -326,7 +238,7 @@ class Simulator:
         # The profiler is bound once per run() call: attach-before-run
         # is guaranteed by the construction hooks, and a local keeps
         # the per-event cost of the common disabled case at one test.
-        profiler = self._profiler
+        profiler = self.profiler
         if profiler is not None:
             # Hot-path state, bound once per run() call: the phase-
             # keyed rec cache maps a stable per-call-site key (a code
@@ -346,8 +258,6 @@ class Simulator:
                 when, _, fn, args = heappop(queue)
                 self.now = when
                 self.events_executed += 1
-                if self._event_hook is not None:
-                    self._event_hook(when, fn)
                 if self._monitor_hook is not None and when >= self._monitor_due:
                     self._monitor_due = self._monitor_hook(when)
                 if profiler is None:

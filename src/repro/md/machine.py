@@ -364,9 +364,7 @@ class AntonMD:
             self.machine.node(m).htis.reset_buffers()
         pkts0 = self.machine.network.packets_injected
         dlv0 = self.machine.network.packets_delivered
-        from repro.profile.profiler import active_profiler
-
-        prof = active_profiler()
+        prof = self.sim.profiler
         if prof is not None:
             prof.phase_begin(f"step:{kind}")
         try:

@@ -21,15 +21,18 @@ hardware as a diagnostic network (Boyle et al., hep-lat/0110124):
   produces a :class:`~repro.monitor.watchdog.HealthVerdict`;
 * :mod:`~repro.monitor.report` — a self-contained HTML report
   (utilization heatmap, time-series charts, sketch-vs-exact table,
-  health verdict) and a Prometheus-style text exposition;
-* :mod:`~repro.monitor.capture` (imported lazily — it pulls in the
-  analysis/MD stack) drives a named experiment with monitoring on; it
-  backs ``python -m repro monitor`` and ``python -m repro report``.
+  health verdict) and a Prometheus-style text exposition.
 
 Monitoring is attached ambiently (:func:`use_monitoring`): any machine
-built while a :class:`MonitorSession` is active gets a monitor, the
-same pattern the flight recorder uses.  Every observer is passive —
-a monitored run is bit-identical to an unmonitored one (enforced by
+built while a :class:`MonitorSession` is active gets a monitor, which
+installs itself in its simulator's one monitor-hook slot
+(:meth:`~repro.engine.simulator.Simulator.set_monitor_hook`).  A
+monitored run is ``with use_monitoring(...) as session:
+run_experiment(spec, Captures(...))`` followed by
+``session.finalize()`` — what ``python -m repro monitor`` and
+``report`` do before rendering with :func:`render_html_report` /
+:func:`render_prometheus`.  Every observer is passive — a monitored
+run is bit-identical to an unmonitored one (enforced by
 ``tests/properties/test_monitor_determinism.py``).
 """
 

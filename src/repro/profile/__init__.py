@@ -15,7 +15,12 @@ Two observability layers in one package, both strictly passive:
   the Prometheus + HTML report pipeline.
 
 A run asks for the profiler with
-``run_experiment(spec, Captures(profile=True))``.
+``run_experiment(spec, Captures(profile=True))``.  The profiler lives
+on the simulator it times (``sim.profiler``, set by
+:meth:`EngineProfiler.attach`); :func:`use_profiling` is only the
+construction hook that attaches it to every simulator built inside the
+block, and phase-marking call sites open their phases on
+``self.sim.profiler``.  There is no ambient profiler lookup.
 """
 
 from repro.profile.export import (
@@ -28,7 +33,6 @@ from repro.profile.export import (
 from repro.profile.profiler import (
     EngineProfiler,
     ProfileCell,
-    active_profiler,
     use_profiling,
 )
 from repro.profile.telemetry import (
@@ -44,7 +48,6 @@ __all__ = [
     "ProfileCell",
     "STATUS_SCHEMA",
     "SweepTelemetry",
-    "active_profiler",
     "make_event",
     "peak_rss_bytes",
     "read_status",

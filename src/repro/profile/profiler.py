@@ -5,8 +5,9 @@ The ROADMAP's vectorize-the-hot-path refactor needs exactly what the
 Anton paper's Table 3 gives its readers — an accounting that *tiles*:
 every unit of cost attributed to exactly one row, rows summing to the
 total.  :class:`EngineProfiler` provides that for the simulator's own
-event loop.  Installed on a :class:`~repro.engine.simulator.Simulator`
-(usually ambiently, via :func:`use_profiling`), it accounts every
+event loop.  Installed as a simulator's
+:attr:`~repro.engine.simulator.Simulator.profiler` (usually by
+:func:`use_profiling`, a construction hook), it accounts every
 executed event along three axes:
 
 * **event type** — the generator function (or scheduled callable) that
@@ -14,8 +15,9 @@ executed event along three axes:
 * **component** — the ``repro`` subpackage that owns that code
   (``network``, ``asic``, ``comm``, ``md``, ``engine``, …);
 * **phase** — the innermost open profiler phase (``step:long_range``,
-  ``allreduce``, …), marked by the same call sites that mark flight-
-  recorder phases.
+  ``allreduce``, …), opened on ``self.sim.profiler`` by the same call
+  sites that mark network-probe phases, so a phase always lands on
+  the profiler timing that simulator.
 
 Two profiles come out:
 
@@ -138,16 +140,19 @@ class EngineProfiler:
 
     # -- attachment --------------------------------------------------------
     def attach(self, sim: Simulator) -> "EngineProfiler":
-        """Install on a simulator (idempotent per simulator)."""
+        """Install as ``sim.profiler`` (idempotent per simulator)."""
+        sim.profiler = self
         if sim not in self.sims:
-            sim.set_profiler(self)
             self.sims.append(sim)
         return self
 
     def detach_all(self) -> None:
+        """Uninstall from every simulator still carrying this profiler
+        and forget them all, so a later :meth:`attach` installs again."""
         for sim in self.sims:
-            if sim._profiler is self:
-                sim.set_profiler(None)
+            if sim.profiler is self:
+                sim.profiler = None
+        self.sims.clear()
 
     # -- cold path (called from Simulator.run on a cache miss) -------------
     def rec_for(
@@ -384,49 +389,24 @@ class EngineProfiler:
         }
 
 
-# ---------------------------------------------------------------------------
-# Ambient profiling session (same pattern as use_registry / use_probes)
-# ---------------------------------------------------------------------------
-
-_ACTIVE_SESSION: Optional["ProfileSession"] = None
-
-
-class ProfileSession:
-    """Attaches one profiler to every simulator built while active."""
-
-    def __init__(self, profiler: Optional[EngineProfiler] = None) -> None:
-        self.profiler = profiler if profiler is not None else EngineProfiler()
-
-    def _on_new_sim(self, sim: Simulator) -> None:
-        self.profiler.attach(sim)
-
-
-def active_profiler() -> Optional[EngineProfiler]:
-    """The ambient profiler, or ``None`` when profiling is off.  Phase
-    call sites (collectives, migration, MD steps) consult this with a
-    single load + ``is None`` test."""
-    session = _ACTIVE_SESSION
-    return session.profiler if session is not None else None
-
-
 @contextmanager
 def use_profiling(
     profiler: Optional[EngineProfiler] = None,
 ) -> Iterator[EngineProfiler]:
     """Profile every simulator constructed inside the ``with`` block.
 
-    Yields the (possibly caller-supplied) :class:`EngineProfiler`;
-    nested sessions shadow the outer one, mirroring ``use_registry``.
+    A construction hook that calls :meth:`EngineProfiler.attach`; yields
+    the (possibly caller-supplied) profiler.  A simulator keeps the
+    profiler it was built under — its phase marks and events land
+    there wherever it later runs.  In nested blocks the innermost
+    profiler wins, because its hook attaches last.
     """
-    global _ACTIVE_SESSION
-    session = ProfileSession(profiler)
-    hook = add_new_sim_hook(session._on_new_sim)
-    prev = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
+    if profiler is None:
+        profiler = EngineProfiler()
+    hook = add_new_sim_hook(profiler.attach)
     try:
-        yield session.profiler
+        yield profiler
     finally:
-        _ACTIVE_SESSION = prev
         remove_new_sim_hook(hook)
 
 

@@ -7,8 +7,8 @@ Every entry point names its runs through a single registry:
   count, plus experiment-specific ``extras``).  Its canonical JSON form
   is the identity used by the result cache and the sweep checkpoints.
 * :func:`register_experiment` — decorator that publishes a runner
-  function ``(spec) -> Outcome`` under a name.  The CLI,
-  ``repro.monitor.capture``, the bench quick suite, and ``python -m
+  function ``(spec) -> Outcome`` under a name.  The CLI (including
+  ``monitor``/``report``), the bench quick suite, and ``python -m
   repro sweep`` all dispatch through :func:`get_experiment`.
 
 The registry itself imports nothing heavy; experiment implementations

@@ -5,14 +5,13 @@ import json
 import pytest
 
 from repro.asic import build_machine
-from repro.comm.collectives import AllReduce
+from repro.comm import MigrationProtocol
+from repro.comm.collectives import AllReduce, ButterflyAllReduce
 from repro.engine import Simulator
-from repro.profile import (
-    EngineProfiler,
-    active_profiler,
-    peak_rss_bytes,
-    use_profiling,
-)
+from repro.md.forcefield import ForceField
+from repro.md.machine import AntonMD
+from repro.md.system import tiny_system
+from repro.profile import EngineProfiler, peak_rss_bytes, use_profiling
 from repro.runner.result import Captures, run_experiment
 from repro.runner.spec import ExperimentSpec, ensure_registered
 from tests.conftest import run_exchange
@@ -84,38 +83,68 @@ def test_phase_attribution_nests_and_restores():
     assert profiler.phases() == ["", "inner", "outer"]
 
 
-def test_allreduce_events_land_in_the_allreduce_phase():
+def _machine():
+    return build_machine(Simulator(), 2, 2, 2)
+
+
+#: Every call site that opens a profiler phase: phase name -> a run of
+#: it on a simulator built inside the profiling scope.
+PHASE_MARK_SITES = {
+    "allreduce": lambda: AllReduce(_machine(), payload_bytes=0).run(),
+    "butterfly": lambda: ButterflyAllReduce(_machine(), payload_bytes=32).run(),
+    "migration": lambda: MigrationProtocol(_machine()).run(),
+    "step:range_limited": lambda: AntonMD(
+        tiny_system(64, box_edge=16.0, seed=1), (2, 2, 2),
+        ff=ForceField(cutoff=4.0), slack=0.5,
+    ).run_step("range_limited"),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASE_MARK_SITES))
+def test_allreduce_events_land_in_the_allreduce_phase(phase):
     with use_profiling() as profiler:
-        sim = Simulator()  # built inside the scope, so it is profiled
-        machine = build_machine(sim, 2, 2, 2)
-        AllReduce(machine, payload_bytes=0).run()
+        PHASE_MARK_SITES[phase]()
     counts = profiler.count_profile()
-    assert "allreduce" in counts["phases"]
+    assert phase in counts["phases"]
     in_phase = sum(
         n
-        for comps in counts["phases"]["allreduce"].values()
+        for comps in counts["phases"][phase].values()
         for n in comps.values()
     )
     assert in_phase > 0
 
 
+def test_phase_marks_land_on_the_profiler_timing_the_simulator():
+    # Built under the outer profiler, run under an inner one: the
+    # simulator keeps the outer profiler, and its phase marks must go
+    # to that profiler too, not to whichever session is innermost.
+    with use_profiling() as outer:
+        allreduce = AllReduce(_machine(), payload_bytes=0)
+        with use_profiling() as inner:
+            allreduce.run()
+    assert inner.events_total == 0
+    assert outer.events_total > 0
+    assert list(outer.count_profile()["phases"]) == ["allreduce"]
+
+
 def test_use_profiling_is_ambient_and_scoped():
-    assert active_profiler() is None
     with use_profiling() as profiler:
-        assert active_profiler() is profiler
         sim = Simulator()
-        assert sim._profiler is profiler
-    assert active_profiler() is None
+        assert sim.profiler is profiler
+        assert profiler.sims == [sim]
     # Simulators built after the block are unprofiled.
-    assert Simulator()._profiler is None
+    assert Simulator().profiler is None
 
 
-def test_set_profiler_returns_previous():
+def test_attach_after_detach_all_installs_again():
     sim = Simulator()
-    a, b = EngineProfiler(), EngineProfiler()
-    assert sim.set_profiler(a) is None
-    assert sim.set_profiler(b) is a
-    assert sim.set_profiler(None) is b
+    profiler = EngineProfiler().attach(sim)
+    profiler.detach_all()
+    profiler.attach(sim)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert profiler.events_total == 1
+    assert profiler.sims == [sim]
 
 
 def test_run_experiment_profile_capture():

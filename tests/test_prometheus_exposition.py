@@ -13,7 +13,7 @@ import pytest
 
 from tests.conftest import run_exchange
 
-from repro.monitor.health import HealthMonitor
+from repro.monitor.health import HealthMonitor, use_monitoring
 from repro.monitor.report import (
     _prom_label_value,
     prom_labels,
@@ -259,12 +259,19 @@ class TestCongestionExposition:
         # A contended run: the monitored incast queues on the
         # destination's inbound links, so the per-direction peak-queue
         # gauge appears and round-trips through the parser.
-        from repro.monitor.capture import run_monitored
+        from repro.runner import Captures, ExperimentSpec, run_experiment
 
-        capture = run_monitored("congestion", shape=(3, 3, 3), rounds=1)
-        verdict = capture.verdict
+        registry = MetricsRegistry()
+        with use_monitoring(registry=registry) as session:
+            run_experiment(
+                ExperimentSpec("congestion", shape=(3, 3, 3), rounds=1),
+                Captures(flight=True, registry=registry),
+            )
+        [verdict] = session.finalize()
         assert verdict.peak_queue_by_direction  # something queued
-        families = parse_exposition(capture.prometheus())
+        families = parse_exposition(render_prometheus(
+            verdict, session.monitor.sampler, registry=registry
+        ))
         peaks = families["repro_link_peak_queue"]
         assert peaks["type"] == "gauge"
         directions = {s[1]["direction"] for s in peaks["samples"]}
