@@ -52,6 +52,8 @@ class SyncCounter:
             raise ValueError(f"increment must be >= 1, got {n}")
         self._count += n
         self.total_increments += n
+        if not self._waiters:
+            return
         # Fire every threshold now satisfied.  Iterate over a snapshot:
         # firing may synchronously register new waiters.
         ready = [t for t in self._waiters if t <= self._count]

@@ -34,6 +34,17 @@ for it and schedules its continuation once, at the absolute time
 ``start + latency``; there are no grant or release events.  So packets
 arriving at a link in the same instant are served in the order their
 previous hops were *requested*.
+
+Events go only where the model decides something.  A unicast of h >= 1
+hops costs h + 1 events (one per hop, one arrival; a 0-hop packet costs
+only its arrival): the destination ring decides nothing, so the last
+hop schedules the arrival at ``start + latency + DST_RING_NS``.  A
+multicast leaf costs one event per local delivery, scheduled straight
+from the hop into it; the source and interior nodes cost a visit plus
+their deliveries.  Leaves keep their visit under fault injection (a
+node stall is judged at arrival) and for in-order packets (gates are
+taken at arrival).  Same-instant deliveries are therefore ordered by
+when their last hop was requested.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from repro.engine.event import Event
 from repro.engine.simulator import Simulator
 from repro.faults.session import FaultSession, active_faults
 from repro.network.link import LinkId, TorusLink
-from repro.network.multicast import MulticastPattern
+from repro.network.multicast import MulticastPattern, TableEntry
 from repro.network.packet import Packet
 from repro.network.probe import Probe, active_probes
 from repro.topology.torus import NodeCoord, Torus3D
@@ -338,14 +349,13 @@ class _UcastTransit:
         self.payload_extra = max(0.0, packet.serialization_ns - _HEADER_SER_NS)
         self.order_prev, self.order_mine = net._inorder_gate(packet, dst)
         net.deliveries_expected += 1
-        net.sim.schedule(SRC_RING_NS, self._next_hop)
+        if self.route:
+            net.sim.schedule(SRC_RING_NS, self._next_hop)
+        else:
+            net.sim.schedule(SRC_RING_NS, self._arrive)
 
     def _next_hop(self) -> None:
         net = self.net
-        if self.idx >= len(self.route):
-            delay = DST_RING_NS if self.route else 0.0
-            net.sim.schedule(delay, self._arrive)
-            return
         hop = self.route[self.idx]
         fa = net.faults
         if fa is not None:
@@ -369,10 +379,16 @@ class _UcastTransit:
         else:
             latency += THROUGH_RING_NS[hop.dim]
         latency += fault_extra
-        latency += net._jitter(self.packet)
-        self.cur = net.torus.neighbor(self.cur, hop.dim, hop.sign)
+        if net.reorder_jitter_ns > 0.0:
+            latency += net._jitter(self.packet)
         self.idx += 1
-        net.sim.schedule_at(start + latency, self._next_hop)
+        if self.idx == len(self.route):
+            # The last hop: nothing is decided on the destination ring,
+            # so the arrival is scheduled straight from here.
+            net.sim.schedule_at(start + latency + DST_RING_NS, self._arrive)
+        else:
+            self.cur = net.torus.neighbor(self.cur, hop.dim, hop.sign)
+            net.sim.schedule_at(start + latency, self._next_hop)
 
     def _lost(self) -> None:
         """Drop escalation: account the loss loudly and complete the
@@ -455,15 +471,14 @@ class _McastTransit:
         # Local deliveries go out in client order; for in-order packets
         # each one takes its gate in that same order.
         delay = DST_RING_NS if node != packet.src_node else 0.0
-        schedule = net.sim.schedule
         if packet.in_order:
+            schedule = net.sim.schedule
             for client_name in entry.local_clients:
                 order_prev, order_mine = net._inorder_gate(packet, node)
                 schedule(delay, self._deliver_local,
                          node, client_name, order_prev, order_mine)
         else:
-            for client_name in entry.local_clients:
-                schedule(delay, self._finish_local, node, client_name, None)
+            self._deliver_at(node, entry, net.sim.now + delay)
         for dim, sign in entry.forward:
             self._forward(node, dim, sign, first_link)
 
@@ -488,8 +503,24 @@ class _McastTransit:
         else:
             latency += THROUGH_RING_NS[dim]
         latency += fault_extra
-        latency += net._jitter(self.packet)
-        net.sim.schedule_at(start + latency, self._visit, nxt, False)
+        packet = self.packet
+        if net.reorder_jitter_ns > 0.0:
+            latency += net._jitter(packet)
+        entry = self.pattern.entries[nxt]
+        if entry.forward or fa is not None or packet.in_order:
+            net.sim.schedule_at(start + latency, self._visit, nxt, False)
+            return
+        # A leaf with nothing to judge at arrival (no forwards, no fault
+        # stall, no in-order gate): its deliveries are scheduled from
+        # here, one destination-ring traversal after the hop lands.
+        self._deliver_at(nxt, entry, start + latency + DST_RING_NS)
+
+    def _deliver_at(self, node: NodeCoord, entry: TableEntry, when: float) -> None:
+        """Schedule the not-in-order local deliveries at ``node``, in
+        client order, for the absolute time ``when``."""
+        schedule_at = self.net.sim.schedule_at
+        for client_name in entry.local_clients:
+            schedule_at(when, self._finish_local, node, client_name, None)
 
     def _deliver_local(
         self,

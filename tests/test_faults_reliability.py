@@ -224,6 +224,46 @@ class TestAvailabilityWindows:
         assert t > 300.0
         assert session.stats.node_stall_blocks >= 1
 
+    def test_node_stall_at_a_multicast_leaf_delays_its_delivery(self):
+        """A leaf's stall is judged when the packet arrives there, so
+        its delivery waits out the window even though the leaf forwards
+        nothing."""
+        from repro.network.multicast import compile_pattern
+
+        def leaf_delivery(plan):
+            sim = Simulator()
+            session = FaultSession(plan)
+            with use_faults(session):
+                m = build_machine(sim, 4, 4, 4)
+            tree = compile_pattern(m.torus, (0, 0, 0), {(1, 0, 0): ["slice0"]})
+            assert not tree.entries[m.torus.coord((1, 0, 0))].forward
+            pid = m.network.register_pattern(tree)
+            leaf = m.node((1, 0, 0)).slice(0)
+            leaf.memory.allocate("mc", 1)
+            src = m.node((0, 0, 0)).slice(0)
+            done = {}
+
+            def sender():
+                yield from src.send_write(
+                    (0, 0, 0), "slice0", counter_id="mc", address=("mc", 0),
+                    payload_bytes=0, pattern_id=pid,
+                )
+
+            def receiver():
+                done["t"] = yield from leaf.poll("mc", 1)
+
+            procs = [sim.process(sender()), sim.process(receiver())]
+            sim.run(until=sim.all_of(procs))
+            return done["t"], session
+
+        # An active plan whose only fault lies far in the future.
+        t0, _ = leaf_delivery(FaultPlan(node_stalls=(
+            NodeStall(node=(1, 0, 0), start_ns=1e6, end_ns=2e6),)))
+        t, session = leaf_delivery(FaultPlan(node_stalls=(
+            NodeStall(node=(1, 0, 0), start_ns=0.0, end_ns=500.0),)))
+        assert t0 < 500.0 < t
+        assert session.stats.node_stall_blocks >= 1
+
     def test_degraded_bandwidth_stretches_channel_occupancy(self):
         """A solo cut-through packet's latency is untouched by a
         bandwidth degradation (only its channel hold grows), so the
